@@ -5,37 +5,32 @@
 //! ```text
 //! experiments <id>|all|list [--out-dir DIR] [--resume] [--verbose]
 //!             [--cache-dir DIR] [--code-version V]
-//!             [--shard K/N | --spawn N | --merge]
-//! experiments study run|status <study-id> [--cache-dir DIR] ...
-//! experiments study explain <key-prefix> --cache-dir DIR
-//! experiments study gc --cache-dir DIR
-//! experiments study list
+//!             [--shard K/N | --merge]
+//! experiments gc --cache-dir DIR [--code-version V]
 //! ```
 //!
 //! Sweep-engine experiments (`e1-ipc`, `fault-sweep`,
-//! `serve-saturation`) additionally honour
-//! the sharding flags: `--shard K/N` runs one shard of the grid into a
-//! keyed journal and exits (no merge — run the other shards, then
-//! `--merge`); `--spawn N` forks one worker subprocess per shard and
-//! merges when all succeed; `--merge` only replays the journals in
-//! `--out-dir`, verifies the key set and the sweep's cross-point
-//! assertions, and writes the `BENCH_*.json` artifact. `--resume` skips
-//! points already journalled. The merged artifact is byte-identical
-//! however the grid was split.
+//! `serve-saturation`, `serve-sched`) publish every point's row into
+//! one content-addressed store (DESIGN.md §17): `--cache-dir` when it
+//! is given and the sweep is cacheable, otherwise `<out-dir>/.sweep-store`.
+//! `--shard K/N` runs one shard of the grid into that store and exits
+//! (no merge — run the other shards, then `--merge`); `--merge` only
+//! reads the grid back from the store, verifies the sweep's cross-point
+//! assertions, and writes the `BENCH_*.json` artifact. `--resume`
+//! serves points already in the store instead of recomputing them. The
+//! merged artifact is byte-identical however the grid was split.
 //!
-//! With `--cache-dir DIR`, every cacheable point result is also a
-//! content-addressed artifact in a shared store (DESIGN.md §17):
-//! reruns, other shards, and other hosts sharing the store dedupe
-//! work, and the run prints a `cache: …` summary line. `--code-version`
-//! overrides the version baked into every cache key (defaults to the
-//! crate version) — flip it to invalidate the store wholesale. The
-//! `study` subcommand runs multi-stage DAGs (sweep → pivot → report)
-//! over the same store.
+//! Under `--cache-dir`, reruns, other shards, and other hosts sharing
+//! the store dedupe work, and the run prints a `cache: …` summary line.
+//! `--code-version` overrides the version baked into every cache key
+//! (defaults to the crate version) — flip it to invalidate the store
+//! wholesale. `gc` removes every object no registered cacheable sweep
+//! can reach under the current code version.
 
 use std::path::PathBuf;
 use std::process::exit;
 
-use rsp_bench::experiments::{run, studies, sweep_runner, ALL_IDS};
+use rsp_bench::experiments::{run, sweep_runner, ALL_IDS};
 use rsp_bench::{CasStore, Executor, Shard, SweepConfig, SweepError, SweepRunner};
 
 struct Cli {
@@ -49,18 +44,11 @@ fn usage() -> ! {
     eprintln!(
         "usage: experiments <id> [--out-dir DIR] [--resume] [--verbose]\n\
          \x20                    [--cache-dir DIR] [--code-version V]\n\
-         \x20                    [--shard K/N | --spawn N | --merge]\n\
-         \x20      experiments study run|status <study-id> [flags]\n\
-         \x20      experiments study explain <key-prefix> --cache-dir DIR\n\
-         \x20      experiments study gc --cache-dir DIR\n\
-         \x20      experiments study list"
+         \x20                    [--shard K/N | --merge]\n\
+         \x20      experiments gc --cache-dir DIR [--code-version V]"
     );
     eprintln!("ids:");
     for id in ALL_IDS {
-        eprintln!("  {id}");
-    }
-    eprintln!("studies:");
-    for id in studies::STUDY_IDS {
         eprintln!("  {id}");
     }
     exit(2);
@@ -72,7 +60,6 @@ fn parse_cli() -> Cli {
     let mut cfg = SweepConfig::default();
     let mut merge_only = false;
     let mut sweep_flags_used = false;
-    let mut spawn: Option<u32> = None;
     let need = |what: &str, v: Option<String>| -> String {
         v.unwrap_or_else(|| {
             eprintln!("{what} needs a value");
@@ -102,14 +89,6 @@ fn parse_cli() -> Cli {
                 }
                 sweep_flags_used = true;
             }
-            "--spawn" => {
-                let n: u32 = need("--spawn", args.next()).parse().unwrap_or_else(|_| {
-                    eprintln!("--spawn needs a shard count");
-                    exit(2);
-                });
-                spawn = Some(n);
-                sweep_flags_used = true;
-            }
             "--merge" => {
                 merge_only = true;
                 sweep_flags_used = true;
@@ -122,17 +101,9 @@ fn parse_cli() -> Cli {
             other => positionals.push(other.to_string()),
         }
     }
-    if positionals.first().map(String::as_str) != Some("study") && positionals.len() > 1 {
+    if positionals.len() > 1 {
         eprintln!("more than one experiment id given");
         usage();
-    }
-    if let Some(count) = spawn {
-        let exe = std::env::current_exe().expect("own executable path");
-        cfg.executor = Executor::Workers {
-            exe,
-            args: positionals.clone(),
-            count,
-        };
     }
     Cli {
         positionals,
@@ -147,7 +118,7 @@ fn fail(e: SweepError) -> ! {
     exit(1);
 }
 
-/// Drive one sweep per the CLI. Shard runs journal and stop; everything
+/// Drive one sweep per the CLI. Shard runs publish and stop; everything
 /// else runs (unless `--merge`) and then merges, printing the report.
 fn drive_sweep(sweep: &dyn SweepRunner, cli: &Cli) {
     let is_shard_run = matches!(cli.cfg.executor, Executor::Shard(_));
@@ -155,11 +126,11 @@ fn drive_sweep(sweep: &dyn SweepRunner, cli: &Cli) {
         let summary = sweep.run(&cli.cfg).unwrap_or_else(|e| fail(e));
         if is_shard_run {
             eprintln!(
-                "{} shard {} {}: journal {}",
+                "{} shard {} {}: store {}",
                 sweep.name(),
                 summary.shard,
                 summary.progress,
-                summary.journal.display()
+                summary.store.display()
             );
             if let Some(cache) = &summary.cache {
                 eprintln!("{}", cache.summary_line());
@@ -173,145 +144,48 @@ fn drive_sweep(sweep: &dyn SweepRunner, cli: &Cli) {
     let merged = sweep.merge(&cli.cfg).unwrap_or_else(|e| fail(e));
     println!("{}", merged.report);
     if let Some(path) = &merged.artifact {
-        println!(
-            "wrote {} ({} points from {} journal fragment(s))",
-            path.display(),
-            merged.points,
-            merged.fragments
-        );
+        println!("wrote {} ({} points)", path.display(), merged.points);
     }
 }
 
-fn open_store(cli: &Cli) -> CasStore {
+/// `experiments gc`: keep the objects of every point any registered
+/// cacheable sweep enumerates under the current code version; remove
+/// every other object, leftover claim and quarantined file.
+fn gc(cli: &Cli) {
     let Some(dir) = &cli.cfg.cache_dir else {
-        eprintln!("this study action needs --cache-dir");
-        exit(2);
+        eprintln!("gc needs --cache-dir");
+        usage();
     };
-    CasStore::open(dir).unwrap_or_else(|e| fail(e))
-}
-
-/// Every cache key any registered sweep or study can reach under the
-/// current code version — the `study gc` live set.
-fn reachable_keys(cli: &Cli) -> std::collections::BTreeSet<String> {
-    let store = open_store(cli);
+    if cli.sweep_flags_used {
+        eprintln!("--shard/--merge/--resume apply to sweep ids, not 'gc'");
+        exit(2);
+    }
     let mut live = std::collections::BTreeSet::new();
     let sweep_ids = ALL_IDS
         .iter()
         .copied()
         .chain(std::iter::once("fault-sweep-reduced"));
-    for id in sweep_ids {
-        if let Some(sweep) = sweep_runner(id) {
-            if !sweep.cacheable() {
-                continue;
-            }
-            let hashes = sweep.point_hashes(&cli.cfg).unwrap_or_else(|e| fail(e));
-            live.extend(hashes);
+    for sweep in sweep_ids.filter_map(sweep_runner) {
+        if sweep.cacheable() {
+            live.extend(sweep.point_hashes(&cli.cfg).unwrap_or_else(|e| fail(e)));
         }
     }
-    for id in studies::STUDY_IDS {
-        let study = studies::study(id).expect("listed study resolves");
-        let plans = study.plan(&cli.cfg, &store).unwrap_or_else(|e| fail(e));
-        live.extend(plans.into_iter().map(|p| p.key));
-    }
-    live
-}
-
-/// Dispatch `experiments study <action> [target]`.
-fn drive_study(cli: &Cli) {
-    let action = cli.positionals.get(1).map(String::as_str);
-    let target = cli.positionals.get(2).map(String::as_str);
-    if cli.sweep_flags_used {
-        eprintln!("--shard/--spawn/--merge/--resume apply to sweep ids, not 'study'");
-        exit(2);
-    }
-    match (action, target) {
-        (Some("list"), None) => {
-            for id in studies::STUDY_IDS {
-                println!("{id}");
-            }
-        }
-        (Some("run"), Some(id)) => {
-            let Some(study) = studies::study(id) else {
-                eprintln!("unknown study '{id}'; try: experiments study list");
-                exit(2);
-            };
-            let report = study.run(&cli.cfg).unwrap_or_else(|e| fail(e));
-            for node in &report.nodes {
-                println!(
-                    "  [{}] {:<6} {:<12} {}{}",
-                    if node.cached { "cached " } else { "ran    " },
-                    node.kind,
-                    node.id,
-                    &node.key[..16.min(node.key.len())],
-                    match node.points {
-                        Some(p) => format!(" ({p} points)"),
-                        None => String::new(),
-                    }
-                );
-            }
-            println!(
-                "study {}: {}/{} node(s) cached; {}",
-                report.name,
-                report.nodes_cached,
-                report.nodes.len(),
-                report.cache.summary_line()
-            );
-            println!("{}", report.report);
-            println!(
-                "wrote {}",
-                cli.cfg.out_dir.join(format!("STUDY_{id}.txt")).display()
-            );
-        }
-        (Some("status"), Some(id)) => {
-            let Some(study) = studies::study(id) else {
-                eprintln!("unknown study '{id}'; try: experiments study list");
-                exit(2);
-            };
-            print!("{}", study.status(&cli.cfg).unwrap_or_else(|e| fail(e)));
-        }
-        (Some("explain"), Some(prefix)) => {
-            let store = open_store(cli);
-            let found = store.find(prefix).unwrap_or_else(|e| fail(e));
-            if found.is_empty() {
-                eprintln!("no object matches prefix {prefix:?}");
-                exit(1);
-            }
-            for obj in found {
-                println!("{} ({})", obj.key, obj.kind);
-                println!("  name:         {}", obj.name);
-                println!("  code_version: {}", obj.code_version);
-                println!("  inputs:       {}", obj.inputs.len());
-                for input in &obj.inputs {
-                    println!("    {input}");
-                }
-            }
-        }
-        (Some("gc"), None) => {
-            let live = reachable_keys(cli);
-            let store = open_store(cli);
-            let summary = store.gc(&live).unwrap_or_else(|e| fail(e));
-            println!(
-                "gc: kept {} object(s), removed {} object(s), {} claim(s), {} quarantined",
-                summary.kept, summary.removed, summary.claims_removed, summary.quarantine_removed
-            );
-        }
-        _ => {
-            eprintln!(
-                "usage: experiments study run|status <study-id> | explain <key-prefix> | gc | list"
-            );
-            exit(2);
-        }
-    }
+    let store = CasStore::open(dir).unwrap_or_else(|e| fail(e));
+    let summary = store.gc(&live).unwrap_or_else(|e| fail(e));
+    println!(
+        "gc: kept {} object(s), removed {} object(s), {} claim(s), {} quarantined",
+        summary.kept, summary.removed, summary.claims_removed, summary.quarantine_removed
+    );
 }
 
 fn main() {
     let cli = parse_cli();
     match cli.positionals.first().map(String::as_str) {
         None | Some("list") => usage(),
-        Some("study") => drive_study(&cli),
+        Some("gc") => gc(&cli),
         Some("all") => {
             if cli.sweep_flags_used {
-                eprintln!("--shard/--spawn/--merge/--resume apply to a single sweep id, not 'all'");
+                eprintln!("--shard/--merge/--resume apply to a single sweep id, not 'all'");
                 exit(2);
             }
             for id in ALL_IDS.iter().filter(|&&i| i != "all") {
@@ -328,7 +202,7 @@ fn main() {
             if let Some(sweep) = sweep_runner(id) {
                 drive_sweep(sweep.as_ref(), &cli);
             } else if cli.sweep_flags_used {
-                eprintln!("'{id}' is not a sweep experiment; --shard/--spawn/--merge/--resume need one of: e1-ipc, fault-sweep, serve-saturation");
+                eprintln!("'{id}' is not a sweep experiment; --shard/--merge/--resume need one of: e1-ipc, fault-sweep, serve-saturation, serve-sched");
                 exit(2);
             } else {
                 match run(id) {

@@ -8,9 +8,9 @@
 //!
 //! `--quick` runs a single pass per class (CI smoke); the default runs
 //! each class for ≥ 2 s of wall clock for stable numbers. Classes run
-//! serially (each point is wall-clock timed), journalling each finished
-//! class, so `--resume` restarts a killed run without re-measuring
-//! completed classes. `--lanes N` sizes the bit-sliced lane-kernel
+//! serially (each point is wall-clock timed), publishing each finished
+//! class into `<out-dir>/.sweep-store`, so `--resume` restarts a killed
+//! run without re-measuring completed classes. `--lanes N` sizes the bit-sliced lane-kernel
 //! class (default 256; must be a positive multiple of 64).
 
 use rsp_bench::throughput::{ThroughputSweep, DEFAULT_LANES};

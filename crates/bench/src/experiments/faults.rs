@@ -103,6 +103,57 @@ impl FaultRow {
     }
 }
 
+/// One upset level of the fault sweep, averaged over every row at that
+/// level (all workloads and scrub intervals) under both policies.
+#[derive(Debug, Clone, PartialEq)]
+struct UpsetLevel {
+    upset_ppm: u32,
+    rows: usize,
+    mean_ipc: f64,
+    mean_ipc_fault_aware: f64,
+}
+
+impl UpsetLevel {
+    /// Fault-aware mean IPC over baseline mean IPC (0 for a zero
+    /// baseline).
+    fn recovery_ratio(&self) -> f64 {
+        if self.mean_ipc > 0.0 {
+            self.mean_ipc_fault_aware / self.mean_ipc
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Pivot the sweep's rows per upset level, in first-appearance (grid)
+/// order.
+fn upset_levels(rows: &[FaultRow]) -> Vec<UpsetLevel> {
+    let mut levels: Vec<UpsetLevel> = Vec::new();
+    for r in rows {
+        let i = match levels.iter().position(|l| l.upset_ppm == r.upset_ppm) {
+            Some(i) => i,
+            None => {
+                levels.push(UpsetLevel {
+                    upset_ppm: r.upset_ppm,
+                    rows: 0,
+                    mean_ipc: 0.0,
+                    mean_ipc_fault_aware: 0.0,
+                });
+                levels.len() - 1
+            }
+        };
+        let level = &mut levels[i];
+        level.rows += 1;
+        level.mean_ipc += r.ipc;
+        level.mean_ipc_fault_aware += r.ipc_fault_aware;
+    }
+    for level in &mut levels {
+        level.mean_ipc /= level.rows as f64;
+        level.mean_ipc_fault_aware /= level.rows as f64;
+    }
+    levels
+}
+
 fn sweep_workloads() -> Vec<Program> {
     // Both are capacity-sensitive: the phased workload steers across
     // int/fp/mem phases, and memcpy is LSU-throughput-bound — losing a
@@ -405,6 +456,36 @@ impl Sweep for FaultSweep {
                 p.name, worst.ipc, fast_scrub, worst.ipc_fault_aware, worst.zombie_reloads,
             );
         }
+
+        // Per upset level across the whole grid: how much of the
+        // degraded baseline's IPC fault-aware steering holds.
+        let levels = upset_levels(rows);
+        s.push_str("\nmean IPC per upset level (fault-aware / degraded baseline)\n");
+        let _ = writeln!(
+            s,
+            "{:>10} {:>5} {:>10} {:>12} {:>10}",
+            "upset_ppm", "rows", "mean_ipc", "fault_aware", "recovery"
+        );
+        for l in &levels {
+            let _ = writeln!(
+                s,
+                "{:>10} {:>5} {:>10.4} {:>12.4} {:>9.2}x",
+                l.upset_ppm,
+                l.rows,
+                l.mean_ipc,
+                l.mean_ipc_fault_aware,
+                l.recovery_ratio(),
+            );
+        }
+        if let Some(harshest) = levels.iter().max_by_key(|l| l.upset_ppm) {
+            let _ = writeln!(
+                s,
+                "at the harshest upset level ({} ppm) fault-aware steering holds {:.2}x \
+                 the degraded baseline's IPC",
+                harshest.upset_ppm,
+                harshest.recovery_ratio(),
+            );
+        }
         s
     }
 }
@@ -503,6 +584,52 @@ mod tests {
     }
 
     #[test]
+    fn upset_levels_average_every_row_of_a_level() {
+        let row = |workload: &str, upset_ppm: u32, ipc: f64, ipc_fault_aware: f64| FaultRow {
+            workload: workload.into(),
+            upset_ppm,
+            scrub_interval: 0,
+            ipc,
+            ipc_fault_aware,
+            cycles: 0,
+            cycles_fault_aware: 0,
+            upsets_injected: 0,
+            upsets_detected: 0,
+            scrubs: 0,
+            load_failures: 0,
+            retries: 0,
+            zombie_reloads: 0,
+            replacements: 0,
+        };
+        let rows = [
+            row("a", 0, 1.0, 1.0),
+            row("a", 500, 0.5, 1.0),
+            row("b", 0, 3.0, 3.0),
+            row("b", 500, 1.5, 1.0),
+        ];
+        let levels = upset_levels(&rows);
+        assert_eq!(
+            levels,
+            [
+                UpsetLevel {
+                    upset_ppm: 0,
+                    rows: 2,
+                    mean_ipc: 2.0,
+                    mean_ipc_fault_aware: 2.0,
+                },
+                UpsetLevel {
+                    upset_ppm: 500,
+                    rows: 2,
+                    mean_ipc: 1.0,
+                    mean_ipc_fault_aware: 1.0,
+                },
+            ]
+        );
+        assert_eq!(levels[0].recovery_ratio(), 1.0);
+        assert!(upset_levels(&[]).is_empty());
+    }
+
+    #[test]
     fn reduced_sweep_runs_and_verifies_on_the_engine() {
         let sweep = FaultSweep::reduced();
         let dir = std::env::temp_dir().join(format!("rsp-fault-reduced-{}", std::process::id()));
@@ -517,5 +644,12 @@ mod tests {
         let rows: Vec<FaultRow> = serde_json::from_str(&text).unwrap();
         assert!(sweep.verify(&rows).is_ok());
         assert!(summary.report.contains("fault-sweep"));
+        assert!(
+            summary
+                .report
+                .contains("at the harshest upset level (20000 ppm) fault-aware steering holds"),
+            "{}",
+            summary.report
+        );
     }
 }

@@ -8,16 +8,13 @@
 //! Experiments whose grid is worth sharding/resuming are [`crate::sweep::Sweep`]s and
 //! dispatch through [`sweep_runner`] (the `experiments` bin routes them
 //! onto the engine, honouring `--shard`/`--resume`/`--out-dir`/
-//! `--cache-dir`); the rest dispatch through [`run`]. Multi-stage
-//! [`studies`] compose the sweeps with pivot/report stages over the
-//! artifact store and dispatch through the `study` subcommand.
+//! `--cache-dir`); the rest dispatch through [`run`].
 
 use crate::sweep::SweepRunner;
 
 pub mod evals;
 pub mod faults;
 pub mod figures;
-pub mod studies;
 
 /// All experiment ids, in DESIGN.md order.
 pub const ALL_IDS: [&str; 26] = [

@@ -6,13 +6,13 @@
 //! (DESIGN.md §12): a declarative ordered grid with stable per-point
 //! keys, executed in-process (rayon fan-out — each simulation is
 //! single-threaded and deterministic, so parallelism is free of
-//! ordering effects), as `hash(key) % N` shards across worker
-//! processes, or resumed from a keyed JSONL journal; a deterministic
-//! merge re-runs each sweep's cross-point assertions and emits the
-//! `BENCH_*.json` artifact byte-identically however the grid was split.
-//! With `--cache-dir`, every point result is a content-addressed
-//! artifact in a shared [`sweep::CasStore`] (DESIGN.md §17), and
-//! multi-stage studies run as [`sweep::StudyDag`]s over that store.
+//! ordering effects) or as `hash(key) % N` shards. Every point's row is
+//! published into one content-addressed [`sweep::CasStore`] (DESIGN.md
+//! §17) — the shared `--cache-dir`, or a store private to the output
+//! directory — which is what resume, caching and sharding all read
+//! from; a deterministic merge re-runs each sweep's cross-point
+//! assertions and emits the `BENCH_*.json` artifact byte-identically
+//! however the grid was split.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +29,6 @@ pub mod timeline;
 pub use harness::{policies, run_one, PolicySpec, Row};
 pub use scaled::scaled_paper_set;
 pub use sweep::{
-    write_artifact, CacheSnapshot, CasStore, Executor, Shard, StudyDag, Sweep, SweepConfig,
-    SweepError, SweepRunner,
+    write_artifact, CacheSnapshot, CasStore, Executor, Shard, Sweep, SweepConfig, SweepError,
+    SweepRunner,
 };

@@ -1,13 +1,12 @@
 //! The content-addressed artifact store (DESIGN.md §17).
 //!
-//! Every cached result — one sweep point's row, one study stage's
-//! output — lives as one JSON object file addressed by the hash of its
-//! *inputs* ([`super::canon::point_cache_key`] /
-//! [`super::canon::stage_cache_key`]):
-//! `objects/ab/cdef....json` under the store root, where `abcdef...` is
-//! the 64-hex-digit key. Input addressing (not output addressing) is
-//! what makes the store a cache: the key is computable before the work
-//! runs, so a lookup can short-circuit the computation.
+//! The sweep engine's only persistence. Every sweep point's row lives
+//! as one JSON object file addressed by the hash of its *inputs*
+//! ([`super::canon::point_cache_key`]): `objects/ab/cdef....json` under
+//! the store root, where `abcdef...` is the 64-hex-digit key. Input
+//! addressing (not output addressing) is what makes the store a cache:
+//! the key is computable before the work runs, so a lookup can
+//! short-circuit the computation.
 //!
 //! Concurrency is file-system-native so shards on different hosts can
 //! share a store over a network mount:
@@ -23,9 +22,9 @@
 //!   [`CasStore::CLAIM_WAIT`], the waiter computes anyway — duplicated
 //!   work, never a deadlock, and the rename-over publish keeps the
 //!   store consistent.
-//! * **Quarantine** — an object that fails to parse, or whose recorded
-//!   logical key disagrees with the caller's, is moved to `quarantine/`
-//!   (never deleted, never trusted) and treated as a miss.
+//! * **Quarantine** — an object that is not UTF-8, fails to parse, or
+//!   whose recorded logical key disagrees with the caller's, is moved to
+//!   `quarantine/` (never deleted, never trusted) and treated as a miss.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,25 +36,25 @@ use serde_json::Value;
 
 use super::SweepError;
 
-/// One stored object: the cached output plus enough metadata to answer
-/// `study explain <key>` without re-deriving anything.
+/// One stored object: the cached row plus enough metadata to tell what
+/// produced it without re-deriving anything.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CasObject {
     /// Store schema tag, [`CasStore::SCHEMA`].
     pub schema: String,
-    /// `"point"` for a sweep row, `"stage"` for a study-node output.
+    /// `"point"` for a sweep row.
     pub kind: String,
-    /// The sweep name or `study/node` path that produced this object.
+    /// The sweep that produced this object.
     pub name: String,
-    /// The logical key — the sweep's point key, or the node id. Sanity
-    /// metadata: the content hash is the address; this is for humans
-    /// and for detecting a corrupted store.
+    /// The logical key — the sweep's point key. Sanity metadata: the
+    /// content hash is the address; this is for humans and for
+    /// detecting a corrupted store.
     pub key: String,
     /// Code version baked into the hash.
     pub code_version: String,
-    /// Input hashes (stage objects only; empty for points).
+    /// Input hashes (empty for points).
     pub inputs: Vec<String>,
-    /// The cached output: a row value or a stage result.
+    /// The cached row.
     pub row: Value,
 }
 
@@ -64,9 +63,9 @@ pub struct CasObject {
 pub struct ObjectMeta {
     /// The content hash (object address).
     pub hash: String,
-    /// `"point"` or `"stage"`.
+    /// `"point"`.
     pub kind: &'static str,
-    /// Producing sweep or `study/node`.
+    /// Producing sweep.
     pub name: String,
     /// Logical key.
     pub key: String,
@@ -243,22 +242,25 @@ impl CasStore {
     }
 
     /// Load the object at `hash`. A missing object is `Ok(None)`. A
-    /// present-but-corrupt object — unparseable, wrong schema, or a
-    /// recorded key that disagrees with `expected_key` — is moved to
-    /// quarantine and also reported `Ok(None)`: the caller recomputes
-    /// and republishes over it.
+    /// present-but-corrupt object — not UTF-8, unparseable, wrong
+    /// schema, or a recorded key that disagrees with `expected_key` — is
+    /// moved to quarantine and also reported `Ok(None)`: the caller
+    /// recomputes and republishes over it.
     pub fn load(
         &self,
         hash: &str,
         expected_key: Option<&str>,
     ) -> Result<Option<CasObject>, SweepError> {
         let path = self.object_path(hash);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
+        let bytes = match fs::read(&path) {
+            Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(SweepError::io(&path, e)),
         };
-        let parsed: Result<CasObject, _> = serde_json::from_str(&text);
+        let parsed = match String::from_utf8(bytes) {
+            Ok(text) => serde_json::from_str::<CasObject>(&text).map_err(|e| e.to_string()),
+            Err(e) => Err(format!("not UTF-8: {e}")),
+        };
         let reason = match parsed {
             Err(e) => Some(format!("unparseable: {e}")),
             Ok(obj) if obj.schema != Self::SCHEMA => {
@@ -273,6 +275,16 @@ impl CasStore {
         };
         self.quarantine(hash, &path, reason.as_deref().unwrap_or("corrupt"))?;
         Ok(None)
+    }
+
+    /// Remove the object at `hash`, if present.
+    pub(crate) fn remove(&self, hash: &str) -> Result<(), SweepError> {
+        let path = self.object_path(hash);
+        match fs::remove_file(&path) {
+            Ok(()) => Ok(()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
+            Err(e) => Err(SweepError::io(&path, e)),
+        }
     }
 
     fn quarantine(&self, hash: &str, path: &Path, reason: &str) -> Result<(), SweepError> {
@@ -436,20 +448,6 @@ impl CasStore {
         Ok(hashes)
     }
 
-    /// Load every object whose hash starts with `prefix` (the
-    /// `study explain <key>` lookup; pass a full hash for an exact hit).
-    pub fn find(&self, prefix: &str) -> Result<Vec<CasObject>, SweepError> {
-        let mut found = Vec::new();
-        for hash in self.list()? {
-            if hash.starts_with(prefix) {
-                if let Some(obj) = self.load(&hash, None)? {
-                    found.push(obj);
-                }
-            }
-        }
-        Ok(found)
-    }
-
     /// Remove every object not in `live`, plus all leftover claims and
     /// everything in quarantine.
     pub fn gc(&self, live: &std::collections::BTreeSet<String>) -> Result<GcSummary, SweepError> {
@@ -458,8 +456,7 @@ impl CasStore {
             if live.contains(&hash) {
                 summary.kept += 1;
             } else {
-                let path = self.object_path(&hash);
-                fs::remove_file(&path).map_err(|e| SweepError::io(&path, e))?;
+                self.remove(&hash)?;
                 summary.removed += 1;
             }
         }
@@ -634,7 +631,7 @@ mod tests {
     }
 
     #[test]
-    fn list_and_find_enumerate_by_prefix() {
+    fn list_enumerates_and_remove_deletes() {
         let store = fresh_store("list");
         let h1 = crate::sweep::canon::sha256_hex(b"one");
         let h2 = crate::sweep::canon::sha256_hex(b"two");
@@ -643,8 +640,8 @@ mod tests {
         let mut want = vec![h1.clone(), h2.clone()];
         want.sort();
         assert_eq!(store.list().unwrap(), want);
-        let found = store.find(&h1[..12]).unwrap();
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].key, "one");
+        store.remove(&h1).unwrap();
+        store.remove(&h1).unwrap(); // removing an absent object is fine
+        assert_eq!(store.list().unwrap(), [h2]);
     }
 }

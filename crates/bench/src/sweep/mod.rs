@@ -9,56 +9,50 @@
 //!   derived only from its parameters (never from enumeration order),
 //!   plus the per-point runner, the cross-point verifier, and the
 //!   artifact renderer.
+//! * **One store** — every completed point's row is one object in a
+//!   content-addressed [`cas::CasStore`] (DESIGN.md §17), addressed by
+//!   [`canon::point_cache_key`] over (sweep name, spec, point params,
+//!   code version). The store is `--cache-dir` when it is given and the
+//!   sweep is cacheable, otherwise a store private to the output
+//!   directory ([`SweepConfig::store_dir`]). It is the engine's only
+//!   persistence.
 //! * **Executors** — [`Executor::InProcess`] runs the whole grid in one
 //!   process (rayon fan-out, or serial for wall-clock-timed sweeps);
 //!   [`Executor::Shard`] runs only the points whose key hashes to
-//!   `k mod N` ([`shard::stable_key_hash`]); [`Executor::Workers`]
-//!   spawns one `--shard k/N` subprocess per shard. Either way, every
-//!   completed point streams into a keyed JSONL journal.
-//! * **Checkpoint/resume** — with [`SweepConfig::resume`], keys already
-//!   present in the journal are skipped, so a killed 10k-point sweep
-//!   picks up where it died (a truncated trailing line is dropped).
-//! * **[`merge`]** — replays every shard journal in the output
-//!   directory, verifies the key set exactly matches the spec (no
-//!   duplicates, no gaps, no strays), orders rows by the spec's
-//!   enumeration order, re-runs the sweep's cross-point assertions, and
-//!   writes the artifact. Because every row is a pure function of its
-//!   key and f64s round-trip through JSON exactly, the merged artifact
-//!   is byte-for-byte identical whether the grid ran as one process,
-//!   N shards, or a killed-and-resumed run.
-//! * **Result cache** — with [`SweepConfig::cache_dir`], every point's
-//!   row is a content-addressed artifact in a shared [`cas::CasStore`],
-//!   keyed by [`canon::point_cache_key`] over (sweep name, spec, point
-//!   params, code version). `run_point` becomes a cache lookup: re-runs
-//!   are hits, concurrent shards/hosts dedupe work through claim files,
-//!   and a changed parameter or code version misses by construction.
-//!   Cached rows re-enter the journal as their stored JSON values, so
-//!   merged artifacts stay byte-identical to a cold run (DESIGN.md §17).
-//! * **Studies** — [`study::StudyDag`] composes sweeps with downstream
-//!   pivot/report stages as a DAG of cached artifacts, each node keyed
-//!   by the hashes of its inputs, with per-node up-to-date
-//!   short-circuiting.
+//!   `k mod N` ([`shard::stable_key_hash`]). Shards of one grid publish
+//!   into the same store, so a split needs no fragment files.
+//! * **Reuse** — under [`SweepConfig::resume`], or under `--cache-dir`
+//!   for a cacheable sweep, a point already in the store is served from
+//!   it instead of recomputed: a killed run resumes where it died, a
+//!   rerun is all hits, and concurrent shards or hosts dedupe work
+//!   through claim files. Any other run first removes its points' old
+//!   objects and republishes each as it completes, so a run killed
+//!   part-way leaves gaps for [`merge`] to report, never an earlier
+//!   run's rows.
+//! * **[`merge`]** — reads every point of the spec from the store in
+//!   enumeration order (a missing or quarantined object is
+//!   [`SweepError::MissingKeys`]), re-runs the sweep's cross-point
+//!   assertions, and writes the artifact. Because every row is a pure
+//!   function of its key and f64s round-trip through JSON exactly, the
+//!   merged artifact is byte-for-byte identical whether the grid ran as
+//!   one process, N shards, a killed-and-resumed run, or from a warm
+//!   cache.
 
 pub mod canon;
 pub mod cas;
-pub mod journal;
 pub mod shard;
-pub mod study;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use rayon::prelude::*;
 use rsp_obs::{ProgressSnapshot, SweepProgress};
 use serde::{Deserialize, Serialize};
 
-use cas::ObjectMeta;
+use cas::{CacheOutcome, ObjectMeta};
 pub use cas::{CacheSnapshot, CasStore};
-use journal::{Journal, JournalEntry};
 pub use shard::Shard;
-pub use study::{StageOp, StudyDag};
 
 /// Everything that can go wrong running or merging a sweep. Rendered by
 /// the CLI bins, which exit non-zero — artifact-write failures included.
@@ -71,15 +65,6 @@ pub enum SweepError {
         /// The underlying error.
         err: std::io::Error,
     },
-    /// A journal line failed to parse before the end of the file.
-    Journal {
-        /// The journal file.
-        path: PathBuf,
-        /// 1-based line number.
-        line: usize,
-        /// What was wrong.
-        msg: String,
-    },
     /// A row failed to serialise.
     Encode {
         /// The point key.
@@ -87,7 +72,7 @@ pub enum SweepError {
         /// Serialiser error.
         msg: String,
     },
-    /// A journalled row failed to deserialise.
+    /// A stored row failed to deserialise.
     Decode {
         /// The point key.
         key: String,
@@ -96,18 +81,12 @@ pub enum SweepError {
     },
     /// A `K/N` shard argument was malformed.
     BadShard(String),
-    /// A journal holds a key the spec does not enumerate (stale journal
-    /// or wrong sweep).
-    UnknownKey {
-        /// The stray key.
-        key: String,
-    },
-    /// The same key appears in more than one journal entry.
+    /// The spec enumerates the same key more than once.
     DuplicateKey {
         /// The duplicated key.
         key: String,
     },
-    /// Keys the spec enumerates but no journal supplied.
+    /// Keys the spec enumerates but the store does not hold.
     MissingKeys {
         /// The absent keys, in spec order (first few).
         sample: Vec<String>,
@@ -116,15 +95,6 @@ pub enum SweepError {
     },
     /// The sweep's cross-point assertions failed on the merged rows.
     Verify(String),
-    /// A spawned shard worker failed.
-    Worker {
-        /// Which shard.
-        shard: Shard,
-        /// What happened.
-        msg: String,
-    },
-    /// A study DAG is malformed or a stage computation failed.
-    Study(String),
 }
 
 impl SweepError {
@@ -140,32 +110,21 @@ impl std::fmt::Display for SweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SweepError::Io { path, err } => write!(f, "{}: {err}", path.display()),
-            SweepError::Journal { path, line, msg } => {
-                write!(f, "{}:{line}: corrupt journal: {msg}", path.display())
-            }
             SweepError::Encode { key, msg } => write!(f, "point {key}: cannot encode row: {msg}"),
             SweepError::Decode { key, msg } => write!(f, "point {key}: cannot decode row: {msg}"),
             SweepError::BadShard(s) => {
                 write!(f, "bad shard {s:?} (expected K/N with K < N, N > 0)")
             }
-            SweepError::UnknownKey { key } => {
-                write!(
-                    f,
-                    "journal holds key {key:?} the sweep spec does not enumerate"
-                )
-            }
             SweepError::DuplicateKey { key } => {
-                write!(f, "key {key:?} appears more than once across the journals")
+                write!(f, "the sweep spec enumerates key {key:?} more than once")
             }
             SweepError::MissingKeys { sample, count } => {
                 write!(
                     f,
-                    "{count} point(s) missing from the journals, e.g. {sample:?}"
+                    "{count} point(s) missing from the store, e.g. {sample:?}"
                 )
             }
             SweepError::Verify(msg) => write!(f, "cross-point verification failed: {msg}"),
-            SweepError::Worker { shard, msg } => write!(f, "shard worker {shard}: {msg}"),
-            SweepError::Study(msg) => write!(f, "study: {msg}"),
         }
     }
 }
@@ -180,7 +139,7 @@ pub trait Sweep: Sync {
     /// One grid point's result row.
     type Row: Serialize + Deserialize + Send;
 
-    /// The sweep's name — journal files are `<name>.shard-KofN.jsonl`.
+    /// The sweep's name, baked into every point's store address.
     fn name(&self) -> &'static str;
 
     /// The full grid, in canonical (artifact) order. Must be
@@ -191,7 +150,7 @@ pub trait Sweep: Sync {
     /// The point's stable key. **Derive it only from the point's
     /// parameters** — never from enumeration order or ambient state —
     /// so shard assignment and resume survive grid re-orderings, and a
-    /// journal row can be matched back to its point across processes.
+    /// stored row can be matched back to its point across processes.
     fn key(&self, point: &Self::Point) -> String;
 
     /// Run one point. Must be a pure function of the point (plus the
@@ -218,17 +177,17 @@ pub trait Sweep: Sync {
     /// One point's parameters as a structured JSON value — the
     /// cache-key analogue of [`Sweep::key`]. The default reuses the
     /// stable string key, which is correct exactly because keys are
-    /// already required to be pure functions of the parameters;
-    /// structured impls make `study explain` output self-describing.
+    /// already required to be pure functions of the parameters.
     fn point_params(&self, point: &Self::Point) -> serde_json::Value {
         serde_json::Value::Str(self.key(point))
     }
 
     /// False for sweeps whose rows are *not* pure functions of their
     /// keys — wall-clock timing sweeps — so measurements are never
-    /// served stale from the artifact store. Such sweeps run every
-    /// point even under `--cache-dir` (journaling still buys
-    /// checkpoint/resume; see `ThroughputSweep` for the exemplar).
+    /// served stale from a shared store. Such sweeps keep their rows in
+    /// the output directory's private store even under `--cache-dir`,
+    /// and reuse them only under `--resume` (see `ThroughputSweep` for
+    /// the exemplar).
     fn cacheable(&self) -> bool {
         true
     }
@@ -265,22 +224,12 @@ pub enum Executor {
     InProcess,
     /// Only the points of one shard, in this process.
     Shard(Shard),
-    /// Spawn `count` worker subprocesses (`exe args... --shard k/N
-    /// --out-dir ... [--resume]`), one per shard.
-    Workers {
-        /// Worker executable (usually `std::env::current_exe()`).
-        exe: PathBuf,
-        /// Arguments before the engine-appended `--shard`/`--out-dir`.
-        args: Vec<String>,
-        /// Number of shards.
-        count: u32,
-    },
 }
 
 impl Executor {
     fn shard(&self) -> Shard {
         match self {
-            Executor::InProcess | Executor::Workers { .. } => Shard::WHOLE,
+            Executor::InProcess => Shard::WHOLE,
             Executor::Shard(s) => *s,
         }
     }
@@ -291,15 +240,16 @@ impl Executor {
 pub struct SweepConfig {
     /// How to execute.
     pub executor: Executor,
-    /// Directory for journals and the merged artifact.
+    /// Directory for the merged artifact, and for the sweep's private
+    /// store when no shared one applies ([`SweepConfig::store_dir`]).
     pub out_dir: PathBuf,
-    /// Replay the journal and skip completed points instead of starting
-    /// over.
+    /// Serve points already in the store instead of recomputing them.
     pub resume: bool,
     /// Echo per-point progress lines to stderr.
     pub verbose: bool,
-    /// Root of the shared content-addressed result store. `None`
-    /// disables caching: every point runs.
+    /// Root of the shared content-addressed store. Cacheable sweeps
+    /// publish into it and are served from it; `None` keeps every row
+    /// in the output directory's private store.
     pub cache_dir: Option<PathBuf>,
     /// Code version baked into every cache key. Defaults to the crate
     /// version, so a release bump invalidates the whole store;
@@ -312,6 +262,9 @@ pub struct SweepConfig {
 pub fn default_code_version() -> String {
     env!("CARGO_PKG_VERSION").to_string()
 }
+
+/// Name of the store private to an output directory.
+const OUT_DIR_STORE: &str = ".sweep-store";
 
 impl Default for SweepConfig {
     fn default() -> SweepConfig {
@@ -327,12 +280,19 @@ impl Default for SweepConfig {
 }
 
 impl SweepConfig {
-    /// The journal path for `sweep`'s shard under this config.
-    pub fn journal_path(&self, sweep_name: &str, shard: Shard) -> PathBuf {
-        self.out_dir.join(format!(
-            "{sweep_name}.shard-{}of{}.jsonl",
-            shard.index, shard.count
-        ))
+    /// The store a sweep's rows live in: `cache_dir` when it is set and
+    /// the sweep is cacheable, otherwise `<out_dir>/.sweep-store`.
+    pub fn store_dir(&self, cacheable: bool) -> PathBuf {
+        match &self.cache_dir {
+            Some(dir) if cacheable => dir.clone(),
+            _ => self.out_dir.join(OUT_DIR_STORE),
+        }
+    }
+
+    /// Whether a run serves points already in the store: under
+    /// `--resume`, or under `--cache-dir` for a cacheable sweep.
+    fn reuses(&self, cacheable: bool) -> bool {
+        self.resume || (cacheable && self.cache_dir.is_some())
     }
 }
 
@@ -341,12 +301,13 @@ impl SweepConfig {
 pub struct RunSummary {
     /// Which shard ran.
     pub shard: Shard,
-    /// Final progress counters (total = points in this shard).
+    /// Final progress counters (total = points in this shard; skipped =
+    /// points served from the store).
     pub progress: ProgressSnapshot,
-    /// The journal the run streamed into.
-    pub journal: PathBuf,
-    /// Cache counters, when the run consulted a store (`--cache-dir`
-    /// set and the sweep is cacheable).
+    /// The store the run published into.
+    pub store: PathBuf,
+    /// Cache counters, when the run reused stored rows (under
+    /// `--resume`, or `--cache-dir` for a cacheable sweep).
     pub cache: Option<CacheSnapshot>,
 }
 
@@ -355,8 +316,6 @@ pub struct RunSummary {
 pub struct MergeSummary {
     /// Points merged (always the full grid).
     pub points: usize,
-    /// Journal fragments consumed.
-    pub fragments: usize,
     /// Path of the written artifact, if the sweep defines one.
     pub artifact: Option<PathBuf>,
     /// The sweep's rendered report.
@@ -373,27 +332,14 @@ pub trait SweepRunner: Sync {
     fn total_points(&self) -> usize;
     /// Whether rows are pure functions of their keys (cache-eligible).
     fn cacheable(&self) -> bool;
-    /// Execute per the config, streaming results into the journal.
+    /// Execute per the config, publishing every point into the store.
     fn run(&self, cfg: &SweepConfig) -> Result<RunSummary, SweepError>;
-    /// Merge the journals in `cfg.out_dir`: validate, verify, write the
+    /// Read the grid back from the store: validate, verify, write the
     /// artifact, render the report.
     fn merge(&self, cfg: &SweepConfig) -> Result<MergeSummary, SweepError>;
-    /// Merge, also returning the ordered row values (the study layer
-    /// stores them as the sweep node's artifact).
-    fn merge_with_rows(
-        &self,
-        cfg: &SweepConfig,
-    ) -> Result<(MergeSummary, serde_json::Value), SweepError>;
-    /// Every point's cache key, in grid order — computable without
-    /// running anything, which is what lets `study status` answer cold.
+    /// Every point's store address, in grid order — computable without
+    /// running anything (the `experiments gc` live set).
     fn point_hashes(&self, cfg: &SweepConfig) -> Result<Vec<String>, SweepError>;
-    /// Re-verify and re-render the artifact from cached row values (the
-    /// up-to-date short-circuit: no journals, no `run_point`).
-    fn render_from_rows(
-        &self,
-        rows: &serde_json::Value,
-        cfg: &SweepConfig,
-    ) -> Result<MergeSummary, SweepError>;
 }
 
 impl<S: Sweep> SweepRunner for S {
@@ -410,18 +356,6 @@ impl<S: Sweep> SweepRunner for S {
     }
 
     fn run(&self, cfg: &SweepConfig) -> Result<RunSummary, SweepError> {
-        if let Executor::Workers { exe, args, count } = &cfg.executor {
-            shard::spawn_shard_workers(exe, args, *count, cfg)?;
-            return Ok(RunSummary {
-                shard: Shard::WHOLE,
-                progress: ProgressSnapshot {
-                    total: self.total_points() as u64,
-                    ..ProgressSnapshot::default()
-                },
-                journal: cfg.out_dir.clone(),
-                cache: None,
-            });
-        }
         run_shard(self, cfg)
     }
 
@@ -429,178 +363,92 @@ impl<S: Sweep> SweepRunner for S {
         merge(self, cfg)
     }
 
-    fn merge_with_rows(
-        &self,
-        cfg: &SweepConfig,
-    ) -> Result<(MergeSummary, serde_json::Value), SweepError> {
-        let (entries, fragments) = merged_entries(self, cfg)?;
-        let rows_value = serde_json::Value::Array(entries.iter().map(|e| e.row.clone()).collect());
-        let rows = decode_rows::<S>(&entries)?;
-        let summary = finish_merge(self, cfg, &rows, fragments)?;
-        Ok((summary, rows_value))
-    }
-
     fn point_hashes(&self, cfg: &SweepConfig) -> Result<Vec<String>, SweepError> {
-        let points = self.points();
-        spec_keys(self, &points)?; // reject duplicate keys up front
-        let spec = self.spec();
-        Ok(points
-            .iter()
-            .map(|p| {
-                canon::point_cache_key(
-                    Sweep::name(self),
-                    &spec,
-                    &self.point_params(p),
-                    &cfg.code_version,
-                )
-            })
-            .collect())
-    }
-
-    fn render_from_rows(
-        &self,
-        rows: &serde_json::Value,
-        cfg: &SweepConfig,
-    ) -> Result<MergeSummary, SweepError> {
-        let values = rows.as_array().ok_or_else(|| SweepError::Decode {
-            key: "<stage>".into(),
-            msg: "cached sweep artifact is not a row array".into(),
-        })?;
-        let rows: Vec<S::Row> = values
-            .iter()
-            .map(|v| {
-                serde_json::from_value(v.clone()).map_err(|e| SweepError::Decode {
-                    key: "<stage>".into(),
-                    msg: e.to_string(),
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        finish_merge(self, cfg, &rows, 0)
+        Ok(grid(self, cfg)?.into_iter().map(|(_, m)| m.hash).collect())
     }
 }
 
-/// Keys of the full grid, in canonical order plus as a set, validated
-/// unique.
-fn spec_keys<S: Sweep>(
-    sweep: &S,
-    points: &[S::Point],
-) -> Result<(Vec<String>, BTreeSet<String>), SweepError> {
-    let keys: Vec<String> = points.iter().map(|p| sweep.key(p)).collect();
+/// The full grid in canonical order, each point with its store address.
+/// Rejects a spec that enumerates a key twice.
+fn grid<S: Sweep>(sweep: &S, cfg: &SweepConfig) -> Result<Vec<(S::Point, ObjectMeta)>, SweepError> {
+    let name = Sweep::name(sweep);
+    let spec = sweep.spec();
     let mut seen = BTreeSet::new();
-    for k in &keys {
-        if !seen.insert(k.clone()) {
-            return Err(SweepError::DuplicateKey { key: k.clone() });
-        }
-    }
-    Ok((keys, seen))
+    sweep
+        .points()
+        .into_iter()
+        .map(|point| {
+            let key = sweep.key(&point);
+            if !seen.insert(key.clone()) {
+                return Err(SweepError::DuplicateKey { key });
+            }
+            let meta = ObjectMeta {
+                hash: canon::point_cache_key(
+                    name,
+                    &spec,
+                    &sweep.point_params(&point),
+                    &cfg.code_version,
+                ),
+                kind: "point",
+                name: name.to_string(),
+                key,
+                code_version: cfg.code_version.clone(),
+                inputs: Vec::new(),
+            };
+            Ok((point, meta))
+        })
+        .collect()
 }
 
-/// Run one shard of the sweep in-process, streaming each completed point
-/// into the shard's journal.
+/// Run one shard of the sweep in-process, publishing each completed
+/// point into the store.
 fn run_shard<S: Sweep>(sweep: &S, cfg: &SweepConfig) -> Result<RunSummary, SweepError> {
     let shard = cfg.executor.shard();
-    let points = sweep.points();
-    let (keys, key_set) = spec_keys(sweep, &points)?;
-    let journal_path = cfg.journal_path(Sweep::name(sweep), shard);
-
-    // Resume: replay the journal, keep only entries this shard owns and
-    // the spec still enumerates, and rewrite the file clean (dropping
-    // any truncated tail) before appending to it.
-    let mut done: BTreeSet<String> = BTreeSet::new();
-    if cfg.resume {
-        let existing = journal::load(&journal_path)?;
-        for e in &existing {
-            if !key_set.contains(&e.key) {
-                return Err(SweepError::UnknownKey { key: e.key.clone() });
-            }
-            if !shard.owns(&e.key) {
-                return Err(SweepError::Journal {
-                    path: journal_path.clone(),
-                    line: 0,
-                    msg: format!("entry {:?} does not belong to shard {shard}", e.key),
-                });
-            }
-            if !done.insert(e.key.clone()) {
-                return Err(SweepError::DuplicateKey { key: e.key.clone() });
-            }
-        }
-        journal::rewrite(&journal_path, &existing)?;
-    } else if journal_path.exists() {
-        fs::remove_file(&journal_path).map_err(|e| SweepError::io(&journal_path, e))?;
-    }
-
-    let todo: Vec<(usize, &S::Point)> = points
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| shard.owns(&keys[*i]) && !done.contains(&keys[*i]))
+    let cacheable = Sweep::cacheable(sweep);
+    let reuse = cfg.reuses(cacheable);
+    let store = CasStore::open(cfg.store_dir(cacheable))?;
+    let owned: Vec<(S::Point, ObjectMeta)> = grid(sweep, cfg)?
+        .into_iter()
+        .filter(|(_, meta)| shard.owns(&meta.key))
         .collect();
-    let in_shard = keys.iter().filter(|k| shard.owns(k)).count();
-
-    let progress = SweepProgress::with_total(in_shard as u64);
-    progress.points_skipped(done.len() as u64);
-    if cfg.verbose && !done.is_empty() {
-        eprintln!(
-            "{} {shard}: resumed {} completed point(s) from journal",
-            Sweep::name(sweep),
-            done.len()
-        );
+    if !reuse {
+        // A run that does not reuse owns its points outright: clear
+        // their old objects first, so that if it dies part-way a later
+        // merge reports the gap instead of an earlier run's rows.
+        for (_, meta) in &owned {
+            store.remove(&meta.hash)?;
+        }
     }
 
-    // The result cache: only pure sweeps consult it. Rows land in the
-    // journal as the *stored* JSON values, which round-trip
-    // byte-identically, so a warm run merges to the same artifact bytes
-    // as a cold one.
-    let store = match (&cfg.cache_dir, Sweep::cacheable(sweep)) {
-        (Some(dir), true) => Some(CasStore::open(dir)?),
-        _ => None,
-    };
-    let spec_value = sweep.spec();
-
-    let writer = Mutex::new(Journal::append_to(&journal_path)?);
-    let complete_one = |(i, point): &(usize, &S::Point)| -> Result<(), SweepError> {
-        let key = &keys[*i];
-        let entry = match &store {
-            Some(store) => {
-                let meta = ObjectMeta {
-                    hash: canon::point_cache_key(
-                        Sweep::name(sweep),
-                        &spec_value,
-                        &sweep.point_params(point),
-                        &cfg.code_version,
-                    ),
-                    kind: "point",
-                    name: Sweep::name(sweep).to_string(),
-                    key: key.clone(),
-                    code_version: cfg.code_version.clone(),
-                    inputs: Vec::new(),
-                };
-                let (row, _outcome) = store.fetch_or_compute(&meta, || {
-                    serde_json::to_value(&sweep.run_point(point)).map_err(|e| SweepError::Encode {
-                        key: key.clone(),
-                        msg: e.to_string(),
-                    })
-                })?;
-                JournalEntry {
-                    key: key.clone(),
-                    row,
+    let progress = SweepProgress::with_total(owned.len() as u64);
+    let complete_one = |(point, meta): &(S::Point, ObjectMeta)| -> Result<(), SweepError> {
+        let compute = || {
+            serde_json::to_value(&sweep.run_point(point)).map_err(|e| SweepError::Encode {
+                key: meta.key.clone(),
+                msg: e.to_string(),
+            })
+        };
+        let snap = if reuse {
+            match store.fetch_or_compute(meta, compute)?.1 {
+                CacheOutcome::Computed => progress.point_completed(),
+                CacheOutcome::Hit | CacheOutcome::WaitHit => {
+                    progress.points_skipped(1);
+                    progress.snapshot()
                 }
             }
-            None => JournalEntry::encode(key, &sweep.run_point(point))?,
+        } else {
+            store.store(meta, &compute()?)?;
+            progress.point_completed()
         };
-        writer
-            .lock()
-            .expect("journal writer poisoned")
-            .append(&entry)?;
-        let snap = progress.point_completed();
         if cfg.verbose {
-            eprintln!("{} {shard} {snap} {key}", Sweep::name(sweep));
+            eprintln!("{} {shard} {snap} {}", Sweep::name(sweep), meta.key);
         }
         Ok(())
     };
     let result: Result<Vec<()>, SweepError> = if sweep.parallel() {
-        todo.par_iter().map(complete_one).collect()
+        owned.par_iter().map(complete_one).collect()
     } else {
-        todo.iter().map(complete_one).collect()
+        owned.iter().map(complete_one).collect()
     };
     if result.is_err() {
         progress.point_failed();
@@ -610,101 +458,52 @@ fn run_shard<S: Sweep>(sweep: &S, cfg: &SweepConfig) -> Result<RunSummary, Sweep
     Ok(RunSummary {
         shard,
         progress: progress.snapshot(),
-        journal: journal_path,
-        cache: store.map(|s| s.stats()),
+        store: store.root().to_path_buf(),
+        cache: reuse.then(|| store.stats()),
     })
 }
 
-/// Replay every `<name>.shard-*.jsonl` fragment in `cfg.out_dir`,
-/// validate the key set against the spec (no duplicates, no gaps, no
-/// strays), order rows canonically, re-run the sweep's cross-point
-/// assertions, and write the artifact.
+/// Read every point of the spec from the store in enumeration order —
+/// the order that makes the artifact byte-identical to a single-process
+/// run's — re-run the sweep's cross-point assertions, and write the
+/// artifact. A point the store does not hold (or holds corrupt, and so
+/// quarantines) is a gap: [`SweepError::MissingKeys`].
 pub fn merge<S: Sweep>(sweep: &S, cfg: &SweepConfig) -> Result<MergeSummary, SweepError> {
-    let (entries, fragments) = merged_entries(sweep, cfg)?;
-    let rows = decode_rows::<S>(&entries)?;
-    finish_merge(sweep, cfg, &rows, fragments)
-}
-
-/// The journal-replay half of a merge: every fragment's entries,
-/// deduplicated, validated against the spec's key set, and ordered by
-/// the spec's enumeration order — this ordering is what makes the
-/// merged artifact byte-identical to a single-process run's. Returns
-/// the entries plus the fragment count.
-fn merged_entries<S: Sweep>(
-    sweep: &S,
-    cfg: &SweepConfig,
-) -> Result<(Vec<JournalEntry>, usize), SweepError> {
-    let points = sweep.points();
-    let (keys, key_set) = spec_keys(sweep, &points)?;
-
-    let prefix = format!("{}.shard-", Sweep::name(sweep));
-    let mut fragments: Vec<PathBuf> = fs::read_dir(&cfg.out_dir)
-        .map_err(|e| SweepError::io(&cfg.out_dir, e))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".jsonl"))
-        })
-        .collect();
-    fragments.sort();
-
-    let mut by_key: BTreeMap<String, JournalEntry> = BTreeMap::new();
-    for path in &fragments {
-        for entry in journal::load(path)? {
-            if !key_set.contains(&entry.key) {
-                return Err(SweepError::UnknownKey { key: entry.key });
+    let store = CasStore::open(cfg.store_dir(Sweep::cacheable(sweep)))?;
+    let mut rows = Vec::new();
+    let mut missing = Vec::new();
+    for (_, meta) in grid(sweep, cfg)? {
+        match store.load(&meta.hash, Some(&meta.key))? {
+            Some(obj) => {
+                rows.push(
+                    serde_json::from_value(obj.row).map_err(|e| SweepError::Decode {
+                        key: meta.key,
+                        msg: e.to_string(),
+                    })?,
+                )
             }
-            let key = entry.key.clone();
-            if by_key.insert(key.clone(), entry).is_some() {
-                return Err(SweepError::DuplicateKey { key });
-            }
+            None => missing.push(meta.key),
         }
     }
-
-    let missing: Vec<String> = keys
-        .iter()
-        .filter(|k| !by_key.contains_key(*k))
-        .cloned()
-        .collect();
     if !missing.is_empty() {
         return Err(SweepError::MissingKeys {
-            sample: missing.iter().take(4).cloned().collect(),
             count: missing.len(),
+            sample: missing.into_iter().take(4).collect(),
         });
     }
 
-    let entries: Vec<JournalEntry> = keys.iter().map(|k| by_key.remove(k).unwrap()).collect();
-    Ok((entries, fragments.len()))
-}
-
-fn decode_rows<S: Sweep>(entries: &[JournalEntry]) -> Result<Vec<S::Row>, SweepError> {
-    entries.iter().map(|e| e.decode::<S::Row>()).collect()
-}
-
-/// The verify-and-render half of a merge, shared by journal replay and
-/// the study layer's cached-rows short-circuit.
-fn finish_merge<S: Sweep>(
-    sweep: &S,
-    cfg: &SweepConfig,
-    rows: &[S::Row],
-    fragments: usize,
-) -> Result<MergeSummary, SweepError> {
-    sweep.verify(rows).map_err(SweepError::Verify)?;
-
+    sweep.verify(&rows).map_err(SweepError::Verify)?;
     let artifact = match sweep.artifact() {
         Some(name) => {
-            let contents = sweep.render_artifact(rows)?;
+            let contents = sweep.render_artifact(&rows)?;
             Some(write_artifact(&cfg.out_dir, name, &contents)?)
         }
         None => None,
     };
-
     Ok(MergeSummary {
         points: rows.len(),
-        fragments,
         artifact,
-        report: sweep.report(rows),
+        report: sweep.report(&rows),
     })
 }
 
@@ -730,8 +529,8 @@ pub fn run_and_merge<S: Sweep>(sweep: &S, cfg: &SweepConfig) -> Result<MergeSumm
 }
 
 /// The light in-process path for experiments that want the fan-out and
-/// progress accounting but no journal/artifact plumbing: run every
-/// point (rayon), preserving point order in the returned rows.
+/// progress accounting but no store/artifact plumbing: run every point
+/// (rayon), preserving point order in the returned rows.
 pub fn run_grid<P, R>(name: &str, points: &[P], run: impl Fn(&P) -> R + Sync) -> Vec<R>
 where
     P: Sync,
@@ -821,13 +620,24 @@ mod tests {
         }
     }
 
+    /// The out-dir store of `dir` and the grid's store addresses.
+    fn store_and_hashes<S: Sweep>(sweep: &S, dir: &Path) -> (CasStore, Vec<String>) {
+        let cfg = cfg_in(dir);
+        let store = CasStore::open(cfg.store_dir(Sweep::cacheable(sweep))).unwrap();
+        (store, sweep.point_hashes(&cfg).unwrap())
+    }
+
+    fn artifact_bytes(summary: MergeSummary) -> Vec<u8> {
+        fs::read(summary.artifact.unwrap()).unwrap()
+    }
+
     #[test]
     fn single_process_run_and_merge_produces_ordered_artifact() {
         let sweep = TestSweep { n: 7 };
         let dir = fresh_dir("single");
         let summary = run_and_merge(&sweep, &cfg_in(&dir)).unwrap();
         assert_eq!(summary.points, 7);
-        assert_eq!(summary.fragments, 1);
+        assert!(dir.join(OUT_DIR_STORE).join("objects").is_dir());
         let artifact = fs::read_to_string(summary.artifact.unwrap()).unwrap();
         let rows: Vec<TestRow> = serde_json::from_str(&artifact).unwrap();
         assert_eq!(
@@ -844,8 +654,7 @@ mod tests {
     fn sharded_runs_merge_byte_identically_to_single() {
         let sweep = TestSweep { n: 11 };
         let single = fresh_dir("shard-single");
-        let s1 = run_and_merge(&sweep, &cfg_in(&single)).unwrap();
-        let want = fs::read(s1.artifact.unwrap()).unwrap();
+        let want = artifact_bytes(run_and_merge(&sweep, &cfg_in(&single)).unwrap());
 
         let dir = fresh_dir("shard-split");
         for index in 0..3 {
@@ -855,15 +664,13 @@ mod tests {
             };
             let run = SweepRunner::run(&sweep, &cfg).unwrap();
             assert_eq!(run.progress.completed, run.progress.total);
+            assert_eq!(run.store, dir.join(OUT_DIR_STORE));
         }
-        let merged = merge(&sweep, &cfg_in(&dir)).unwrap();
-        assert_eq!(merged.fragments, 3);
-        let got = fs::read(merged.artifact.unwrap()).unwrap();
-        assert_eq!(got, want);
+        assert_eq!(artifact_bytes(merge(&sweep, &cfg_in(&dir)).unwrap()), want);
     }
 
     #[test]
-    fn merge_rejects_gaps_duplicates_and_strays() {
+    fn merge_reports_gaps_and_quarantined_objects_as_missing() {
         let sweep = TestSweep { n: 5 };
         let dir = fresh_dir("gaps");
         let cfg = SweepConfig {
@@ -876,48 +683,75 @@ mod tests {
             merge(&sweep, &cfg_in(&dir)),
             Err(SweepError::MissingKeys { .. })
         ));
-        // Same shard journalled twice under a different shard label → duplicates.
-        let src = cfg.journal_path("test_sweep", Shard::new(0, 2).unwrap());
-        fs::copy(&src, dir.join("test_sweep.shard-0of9.jsonl")).unwrap();
-        assert!(matches!(
-            merge(&sweep, &cfg_in(&dir)),
-            Err(SweepError::DuplicateKey { .. })
-        ));
-        // A key outside the spec → stray: a journal produced by a wider
-        // grid (n = 6 has p005) replayed against the n = 5 spec.
-        let wider = TestSweep { n: 6 };
-        let dir2 = fresh_dir("stray");
-        run_and_merge(&wider, &cfg_in(&dir2)).unwrap();
-        fs::remove_file(dir2.join("BENCH_test_sweep.json")).unwrap();
-        let err = merge(&sweep, &cfg_in(&dir2)).unwrap_err();
+
+        // A full run, then one object damaged on disk: the merge
+        // quarantines it and reports exactly that point missing.
+        run_and_merge(&sweep, &cfg_in(&dir)).unwrap();
+        let (store, hashes) = store_and_hashes(&sweep, &dir);
+        let victim = &hashes[2];
+        let path = store
+            .root()
+            .join("objects")
+            .join(&victim[..2])
+            .join(format!("{}.json", &victim[2..]));
+        fs::write(&path, "{\"schema\":").unwrap();
+        match merge(&sweep, &cfg_in(&dir)) {
+            Err(SweepError::MissingKeys { sample, count }) => {
+                assert_eq!((sample, count), (vec!["p002".to_string()], 1));
+            }
+            other => panic!("expected MissingKeys, got {other:?}"),
+        }
+        assert!(store
+            .root()
+            .join("quarantine")
+            .join(format!("{victim}.json"))
+            .exists());
+
+        // A narrower spec merges from a store that holds a wider grid.
+        assert_eq!(merge(&TestSweep { n: 2 }, &cfg_in(&dir)).unwrap().points, 2);
+    }
+
+    #[test]
+    fn duplicate_spec_keys_are_rejected_up_front() {
+        struct Dup;
+        impl Sweep for Dup {
+            type Point = u32;
+            type Row = u32;
+            fn name(&self) -> &'static str {
+                "dup_sweep"
+            }
+            fn points(&self) -> Vec<u32> {
+                vec![1, 2, 1]
+            }
+            fn key(&self, p: &u32) -> String {
+                format!("d{p}")
+            }
+            fn run_point(&self, p: &u32) -> u32 {
+                *p
+            }
+            fn report(&self, _rows: &[u32]) -> String {
+                String::new()
+            }
+        }
+        let dir = fresh_dir("dup");
+        let err = SweepRunner::run(&Dup, &cfg_in(&dir)).unwrap_err();
         assert!(
-            matches!(err, SweepError::UnknownKey { ref key } if key == "p005"),
+            matches!(err, SweepError::DuplicateKey { ref key } if key == "d1"),
             "{err}"
         );
     }
 
     #[test]
-    fn resume_skips_journalled_points_and_completes() {
+    fn resume_serves_stored_points_and_computes_the_rest() {
         let sweep = TestSweep { n: 9 };
-        let ref_dir = fresh_dir("resume-ref");
-        let want = fs::read(
-            run_and_merge(&sweep, &cfg_in(&ref_dir))
-                .unwrap()
-                .artifact
-                .unwrap(),
-        )
-        .unwrap();
-
-        // Simulate a kill: keep only the first 4 journal lines plus a
-        // truncated tail.
         let dir = fresh_dir("resume");
-        run_and_merge(&sweep, &cfg_in(&dir)).unwrap();
-        let jpath = dir.join("test_sweep.shard-0of1.jsonl");
-        let text = fs::read_to_string(&jpath).unwrap();
-        let keep: Vec<&str> = text.lines().take(4).collect();
-        fs::write(&jpath, format!("{}\n{{\"key\":\"p0", keep.join("\n"))).unwrap();
-        fs::remove_file(dir.join("BENCH_test_sweep.json")).unwrap();
+        let want = artifact_bytes(run_and_merge(&sweep, &cfg_in(&dir)).unwrap());
 
+        // Simulate a kill after 4 points: the other 5 objects are gone.
+        let (store, hashes) = store_and_hashes(&sweep, &dir);
+        for hash in &hashes[4..] {
+            store.remove(hash).unwrap();
+        }
         let cfg = SweepConfig {
             resume: true,
             ..cfg_in(&dir)
@@ -925,76 +759,127 @@ mod tests {
         let run = SweepRunner::run(&sweep, &cfg).unwrap();
         assert_eq!(run.progress.skipped, 4);
         assert_eq!(run.progress.completed, 5);
-        let merged = merge(&sweep, &cfg_in(&dir)).unwrap();
-        assert_eq!(fs::read(merged.artifact.unwrap()).unwrap(), want);
+        let cache = run.cache.expect("a resumed run reports its reuse");
+        assert_eq!((cache.hits, cache.misses), (4, 5));
+        assert_eq!(artifact_bytes(merge(&sweep, &cfg_in(&dir)).unwrap()), want);
+    }
+
+    /// A sweep whose row `Serialize` impl fails at one point: the run
+    /// stops there, as a killed process would, with the earlier points
+    /// published.
+    struct PoisonSweep {
+        poison: Option<u32>,
+    }
+
+    struct PoisonRow {
+        id: u32,
+        poisoned: bool,
+    }
+
+    impl Serialize for PoisonRow {
+        fn to_value(&self) -> serde_json::Value {
+            serde_json::Value::Int(self.id as i128)
+        }
+        fn try_to_value(&self) -> Result<serde_json::Value, serde_json::Error> {
+            if self.poisoned {
+                Err(serde_json::Error::msg(format!(
+                    "row {} refuses to serialise",
+                    self.id
+                )))
+            } else {
+                Ok(self.to_value())
+            }
+        }
+    }
+
+    impl Deserialize for PoisonRow {
+        fn from_value(v: &serde_json::Value) -> Result<PoisonRow, serde_json::Error> {
+            u32::from_value(v).map(|id| PoisonRow {
+                id,
+                poisoned: false,
+            })
+        }
+    }
+
+    impl Sweep for PoisonSweep {
+        type Point = u32;
+        type Row = PoisonRow;
+        fn name(&self) -> &'static str {
+            "poison_sweep"
+        }
+        fn points(&self) -> Vec<u32> {
+            (0..6).collect()
+        }
+        fn key(&self, p: &u32) -> String {
+            format!("p{p}")
+        }
+        fn run_point(&self, p: &u32) -> PoisonRow {
+            PoisonRow {
+                id: *p,
+                poisoned: self.poison == Some(*p),
+            }
+        }
+        fn parallel(&self) -> bool {
+            false // deterministic store contents up to the failure
+        }
+        fn report(&self, rows: &[PoisonRow]) -> String {
+            format!("{} rows", rows.len())
+        }
     }
 
     /// A row whose `Serialize` impl fails mid-grid surfaces from the
-    /// full sweep run as [`SweepError::Encode`] naming the point —
-    /// propagated through `JournalEntry::encode` and `Journal::append`
-    /// rather than panicking the shard. Rows journalled before the
-    /// failure survive on disk, so a fixed serialiser can resume.
+    /// full sweep run as [`SweepError::Encode`] naming the point rather
+    /// than panicking the shard. Rows published before the failure
+    /// survive in the store, so a fixed serialiser can resume.
     #[test]
     fn failing_serialize_row_fails_the_run_with_encode_error() {
-        struct PoisonRow {
-            id: u32,
-        }
-        impl Serialize for PoisonRow {
-            fn to_value(&self) -> serde_json::Value {
-                serde_json::Value::Int(self.id as i128)
-            }
-            fn try_to_value(&self) -> Result<serde_json::Value, serde_json::Error> {
-                if self.id == 3 {
-                    Err(serde_json::Error::msg("row 3 refuses to serialise"))
-                } else {
-                    Ok(self.to_value())
-                }
-            }
-        }
-        impl Deserialize for PoisonRow {
-            fn from_value(v: &serde_json::Value) -> Result<PoisonRow, serde_json::Error> {
-                u32::from_value(v).map(|id| PoisonRow { id })
-            }
-        }
-        struct PoisonSweep;
-        impl Sweep for PoisonSweep {
-            type Point = u32;
-            type Row = PoisonRow;
-            fn name(&self) -> &'static str {
-                "poison_sweep"
-            }
-            fn points(&self) -> Vec<u32> {
-                (0..6).collect()
-            }
-            fn key(&self, p: &u32) -> String {
-                format!("p{p}")
-            }
-            fn run_point(&self, p: &u32) -> PoisonRow {
-                PoisonRow { id: *p }
-            }
-            fn parallel(&self) -> bool {
-                false // deterministic journal contents up to the failure
-            }
-            fn report(&self, rows: &[PoisonRow]) -> String {
-                format!("{} rows", rows.len())
-            }
-        }
-
+        let sweep = PoisonSweep { poison: Some(3) };
         let dir = fresh_dir("poison");
-        let err = run_and_merge(&PoisonSweep, &cfg_in(&dir)).unwrap_err();
-        match err {
+        match run_and_merge(&sweep, &cfg_in(&dir)).unwrap_err() {
             SweepError::Encode { key, msg } => {
                 assert_eq!(key, "p3");
                 assert!(msg.contains("refuses to serialise"), "{msg}");
             }
             other => panic!("expected Encode error, got {other}"),
         }
-        // The three rows completed before the poisoned one are on disk.
-        let journal = journal::load(&dir.join("poison_sweep.shard-0of1.jsonl")).unwrap();
-        assert_eq!(
-            journal.iter().map(|e| e.key.as_str()).collect::<Vec<_>>(),
-            ["p0", "p1", "p2"]
-        );
+        let (store, hashes) = store_and_hashes(&sweep, &dir);
+        let present: Vec<bool> = hashes.iter().map(|h| store.contains(h)).collect();
+        assert_eq!(present, [true, true, true, false, false, false]);
+    }
+
+    /// A run that does not reuse clears its points before computing,
+    /// so when it dies part-way the merge fails instead of mixing in
+    /// the previous run's rows.
+    #[test]
+    fn killed_fresh_run_fails_merge_with_missing_keys() {
+        let dir = fresh_dir("killed");
+        run_and_merge(&PoisonSweep { poison: None }, &cfg_in(&dir)).unwrap();
+        let killed = PoisonSweep { poison: Some(3) };
+        assert!(SweepRunner::run(&killed, &cfg_in(&dir)).is_err());
+        match merge(&killed, &cfg_in(&dir)) {
+            Err(SweepError::MissingKeys { sample, count }) => {
+                assert_eq!(count, 3);
+                assert_eq!(sample, ["p3", "p4", "p5"]);
+            }
+            other => panic!("expected MissingKeys, got {:?}", other.map(|m| m.points)),
+        }
+    }
+
+    #[test]
+    fn cache_dir_applies_only_to_cacheable_sweeps() {
+        let cfg = SweepConfig {
+            cache_dir: Some(PathBuf::from("cas")),
+            ..cfg_in(Path::new("out"))
+        };
+        assert_eq!(cfg.store_dir(true), PathBuf::from("cas"));
+        assert_eq!(cfg.store_dir(false), Path::new("out").join(OUT_DIR_STORE));
+        assert!(cfg.reuses(true));
+        assert!(!cfg.reuses(false));
+        assert!(SweepConfig {
+            resume: true,
+            ..cfg
+        }
+        .reuses(false));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Shard arithmetic and worker-process fan-out.
+//! Shard arithmetic.
 //!
 //! A shard is `k/N`: the subset of grid points whose stable key hashes
 //! to `k` modulo `N`. The hash is [`rsp_obs::stable_key_hash`] — the
@@ -6,13 +6,10 @@
 //! `DefaultHasher` (`std::hash::DefaultHasher`), whose algorithm is
 //! unspecified across releases — so the same key lands in the same
 //! shard on every machine, toolchain and run. Assignment depends only
-//! on the key, never on enumeration order, which is what makes shard
-//! fragments mergeable.
+//! on the key, never on enumeration order, so shards run anywhere, in
+//! any order, partition the grid exactly.
 
-use std::path::Path;
-use std::process::Command;
-
-use super::{SweepConfig, SweepError};
+use super::SweepError;
 
 pub use rsp_obs::stable_key_hash;
 
@@ -56,67 +53,6 @@ impl Shard {
 impl std::fmt::Display for Shard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}/{}", self.index, self.count)
-    }
-}
-
-/// Spawn one worker subprocess per shard — `exe args... --shard k/N
-/// --out-dir <out_dir> [--resume] [--cache-dir <dir> --code-version
-/// <v>]` — and wait for all of them. Workers stream their results into
-/// per-shard journals in `cfg.out_dir` (deduping any shared points
-/// through the artifact store when `cfg.cache_dir` is set); callers run
-/// the merge step afterwards. Any worker exiting non-zero fails the
-/// whole fan-out (the journals it did write remain valid for `--resume`).
-pub fn spawn_shard_workers(
-    exe: &Path,
-    args: &[String],
-    count: u32,
-    cfg: &SweepConfig,
-) -> Result<(), SweepError> {
-    let mut children = Vec::new();
-    for index in 0..count {
-        let mut cmd = Command::new(exe);
-        cmd.args(args)
-            .arg("--shard")
-            .arg(format!("{index}/{count}"))
-            .arg("--out-dir")
-            .arg(&cfg.out_dir);
-        if cfg.resume {
-            cmd.arg("--resume");
-        }
-        if let Some(cache_dir) = &cfg.cache_dir {
-            cmd.arg("--cache-dir")
-                .arg(cache_dir)
-                .arg("--code-version")
-                .arg(&cfg.code_version);
-        }
-        let child = cmd.spawn().map_err(|e| SweepError::Worker {
-            shard: Shard { index, count },
-            msg: format!("spawn failed: {e}"),
-        })?;
-        children.push((index, child));
-    }
-    let mut first_err = None;
-    for (index, mut child) in children {
-        let shard = Shard { index, count };
-        match child.wait() {
-            Ok(status) if status.success() => {}
-            Ok(status) => {
-                first_err.get_or_insert(SweepError::Worker {
-                    shard,
-                    msg: format!("exited with {status}"),
-                });
-            }
-            Err(e) => {
-                first_err.get_or_insert(SweepError::Worker {
-                    shard,
-                    msg: format!("wait failed: {e}"),
-                });
-            }
-        }
-    }
-    match first_err {
-        None => Ok(()),
-        Some(e) => Err(e),
     }
 }
 

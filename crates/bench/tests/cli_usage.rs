@@ -87,6 +87,13 @@ fn experiments_usage_errors_exit_2() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("not a sweep experiment"));
 
+    // `gc` needs the store it prunes; an unknown flag is a usage error.
+    assert_usage(&experiments(&["gc"]), "gc needs --cache-dir");
+    assert_usage(
+        &experiments(&["fault-sweep", "--spawn", "2"]),
+        "unknown flag",
+    );
+
     // No id → the id list, as a usage error.
     let out = experiments(&[]);
     assert_eq!(out.status.code(), Some(2));

@@ -1,32 +1,37 @@
-//! Property tests for the sweep engine's merge invariants, on the real
+//! Property tests for the sweep engine's store invariants, on the real
 //! (reduced) fault sweep:
 //!
-//! * splitting a run's journal lines into an arbitrary number of shard
-//!   fragments, in any interleaving, merges into a `BENCH_*.json`
+//! * any split of the grid into K shards, run in any order and all
+//!   publishing into one store, merges into a `BENCH_*.json`
 //!   byte-identical to the single-process run's;
-//! * a journal truncated at an arbitrary point (a killed run, possibly
-//!   mid-line) resumes to completion and merges byte-identically;
-//! * actually re-running the grid as `--shard k/N` style shard runs
-//!   reproduces the artifact bytes too (rows are pure functions of their
-//!   keys — the fault schedule is open-loop).
+//! * a run stopped after an arbitrary subset of points completes under
+//!   `--resume`, recomputing exactly the missing points, and merges
+//!   byte-identically;
+//! * a run without `--resume` killed at an arbitrary point fails the
+//!   merge with `MissingKeys` naming exactly the unfinished points,
+//!   even though an earlier complete run had filled the same store.
 //!
-//! The canonical single-process run happens once (`OnceLock`); the
-//! properties then mostly shuffle journal *lines*, so the per-case cost
-//! is parsing and merging, not re-simulation.
+//! The canonical single-process run happens once (`OnceLock`); its
+//! store seeds the resume cases, so they simulate only the missing
+//! points.
 
 use std::fs;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use rsp_bench::experiments::faults::FaultSweep;
-use rsp_bench::sweep::{self, Executor, Shard, SweepConfig, SweepRunner};
+use rsp_bench::experiments::faults::{FaultPoint, FaultRow, FaultSweep};
+use rsp_bench::sweep::cas::ObjectMeta;
+use rsp_bench::sweep::{
+    self, CasStore, Executor, Shard, Sweep, SweepConfig, SweepError, SweepRunner,
+};
 
 /// The canonical single-process run of the reduced fault sweep: its
-/// journal lines and its artifact bytes.
+/// output directory and its artifact bytes.
 struct Canonical {
-    lines: Vec<String>,
+    dir: PathBuf,
     artifact: Vec<u8>,
 }
 
@@ -36,13 +41,10 @@ fn canonical() -> &'static Canonical {
         let dir = fresh_dir("canonical");
         let sweep = FaultSweep::reduced();
         let summary = sweep::run_and_merge(&sweep, &cfg_in(&dir)).expect("canonical run");
+        assert_eq!(summary.points, 8, "reduced grid is 2 workloads x 2 x 2");
         let artifact = fs::read(summary.artifact.expect("fault sweep writes an artifact"))
             .expect("read canonical artifact");
-        let journal = fs::read_to_string(dir.join("fault_sweep.shard-0of1.jsonl"))
-            .expect("read canonical journal");
-        let lines: Vec<String> = journal.lines().map(str::to_string).collect();
-        assert_eq!(lines.len(), 8, "reduced grid is 2 workloads x 2 x 2");
-        Canonical { lines, artifact }
+        Canonical { dir, artifact }
     })
 }
 
@@ -63,93 +65,138 @@ fn cfg_in(dir: &Path) -> SweepConfig {
     }
 }
 
+fn store_of(dir: &Path) -> CasStore {
+    CasStore::open(cfg_in(dir).store_dir(true)).expect("open store")
+}
+
 fn merged_bytes(dir: &Path) -> Vec<u8> {
     let sweep = FaultSweep::reduced();
     let summary = sweep::merge(&sweep, &cfg_in(dir)).expect("merge succeeds");
     fs::read(summary.artifact.expect("artifact written")).expect("read artifact")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// The reduced fault sweep, but the process "dies" (panics) when it
+/// reaches grid point `kill_at`. Same name, spec and keys, so it
+/// addresses the same store objects as the real sweep.
+struct KilledSweep {
+    inner: FaultSweep,
+    kill_at: String,
+}
 
-    /// Any assignment of journal lines to any number of shard fragments,
-    /// written in any order, merges byte-identically to the
-    /// single-process artifact.
-    #[test]
-    fn any_fragmenting_and_interleaving_merges_identically(
-        n in 1usize..=5,
-        assign in proptest::collection::vec(0usize..5, 8),
-        prio in proptest::collection::vec(0u64..1_000_000, 8),
-    ) {
-        let canon = canonical();
-        let dir = fresh_dir("fragment");
-        // Order lines by an arbitrary priority, then deal each to an
-        // arbitrary fragment (mod n) — neither respects hash-based shard
-        // ownership, which merge must not require.
-        let mut order: Vec<usize> = (0..canon.lines.len()).collect();
-        order.sort_by_key(|&i| (prio[i], i));
-        let mut fragments: Vec<Vec<&str>> = vec![Vec::new(); n];
-        for &i in &order {
-            fragments[assign[i] % n].push(&canon.lines[i]);
-        }
-        for (k, lines) in fragments.iter().enumerate() {
-            // Empty fragments are written too: merge must tolerate them.
-            let mut text = lines.join("\n");
-            if !text.is_empty() {
-                text.push('\n');
-            }
-            fs::write(dir.join(format!("fault_sweep.shard-{k}of{n}.jsonl")), text).unwrap();
-        }
-        prop_assert_eq!(&merged_bytes(&dir), &canon.artifact);
+impl Sweep for KilledSweep {
+    type Point = FaultPoint;
+    type Row = FaultRow;
+    fn name(&self) -> &'static str {
+        Sweep::name(&self.inner)
     }
-
-    /// A journal truncated at an arbitrary point — k complete lines,
-    /// optionally plus a partial line (the kill arrived mid-write) —
-    /// resumes to completion and merges byte-identically.
-    #[test]
-    fn resume_after_arbitrary_truncation_completes_identically(
-        keep in 0usize..8,
-        cut in 1usize..40,
-        partial in proptest::bool::ANY,
-    ) {
-        let canon = canonical();
-        let dir = fresh_dir("resume");
-        let mut text = String::new();
-        for line in canon.lines.iter().take(keep) {
-            text.push_str(line);
-            text.push('\n');
+    fn points(&self) -> Vec<FaultPoint> {
+        self.inner.points()
+    }
+    fn key(&self, p: &FaultPoint) -> String {
+        self.inner.key(p)
+    }
+    fn spec(&self) -> serde_json::Value {
+        self.inner.spec()
+    }
+    fn point_params(&self, p: &FaultPoint) -> serde_json::Value {
+        self.inner.point_params(p)
+    }
+    fn run_point(&self, p: &FaultPoint) -> FaultRow {
+        if self.inner.key(p) == self.kill_at {
+            panic!("killed at {}", self.kill_at);
         }
-        if partial {
-            let tail = &canon.lines[keep];
-            text.push_str(&tail[..cut.min(tail.len() - 1)]);
-        }
-        fs::write(dir.join("fault_sweep.shard-0of1.jsonl"), text).unwrap();
-
-        let sweep = FaultSweep::reduced();
-        let cfg = SweepConfig { resume: true, ..cfg_in(&dir) };
-        let run = SweepRunner::run(&sweep, &cfg).expect("resume run");
-        prop_assert_eq!(run.progress.skipped, keep as u64);
-        prop_assert_eq!(run.progress.completed, (8 - keep) as u64);
-        prop_assert_eq!(&merged_bytes(&dir), &canon.artifact);
+        self.inner.run_point(p)
+    }
+    fn parallel(&self) -> bool {
+        false // points complete in grid order up to the kill
+    }
+    fn report(&self, rows: &[FaultRow]) -> String {
+        self.inner.report(rows)
     }
 }
 
-/// Genuinely re-run the grid as 2 shard processes' worth of work (same
-/// code path as `experiments fault-sweep --shard k/2`) and check the
-/// merged artifact bytes — this one re-simulates, proving rows are pure
-/// functions of their keys across runs, not just that merge shuffles
-/// lines correctly.
-#[test]
-fn two_shard_rerun_reproduces_artifact_bytes() {
-    let canon = canonical();
-    let dir = fresh_dir("shard-rerun");
-    let sweep = FaultSweep::reduced();
-    for index in 0..2 {
-        let cfg = SweepConfig {
-            executor: Executor::Shard(Shard::new(index, 2).unwrap()),
-            ..cfg_in(&dir)
-        };
-        SweepRunner::run(&sweep, &cfg).expect("shard run");
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Any number of shards, run in any order into one output
+    /// directory's store, merges byte-identically to the single-process
+    /// artifact.
+    #[test]
+    fn any_shard_split_merges_identically(
+        n in 1u32..=5,
+        prio in proptest::collection::vec(0u64..1_000_000, 5),
+    ) {
+        let canon = canonical();
+        let dir = fresh_dir("split");
+        let sweep = FaultSweep::reduced();
+        let mut order: Vec<u32> = (0..n).collect();
+        order.sort_by_key(|&k| (prio[k as usize], k));
+        let mut computed = 0;
+        for index in order {
+            let cfg = SweepConfig {
+                executor: Executor::Shard(Shard::new(index, n).unwrap()),
+                ..cfg_in(&dir)
+            };
+            let run = SweepRunner::run(&sweep, &cfg).expect("shard run");
+            prop_assert_eq!(run.progress.completed, run.progress.total);
+            computed += run.progress.completed;
+        }
+        prop_assert_eq!(computed, 8);
+        prop_assert_eq!(&merged_bytes(&dir), &canon.artifact);
     }
-    assert_eq!(merged_bytes(&dir), canon.artifact);
+
+    /// A run stopped after an arbitrary subset of its points (the
+    /// store holds exactly those) completes under `--resume`,
+    /// recomputing exactly the missing points, and merges identically.
+    #[test]
+    fn resume_after_arbitrary_subset_completes_identically(done in 0u8..=255) {
+        let canon = canonical();
+        let dir = fresh_dir("resume");
+        let sweep = FaultSweep::reduced();
+        let hashes = sweep.point_hashes(&cfg_in(&dir)).unwrap();
+        let (from, to) = (store_of(&canon.dir), store_of(&dir));
+        for (i, hash) in hashes.iter().enumerate() {
+            if done & (1 << i) != 0 {
+                let obj = from.load(hash, None).unwrap().expect("canonical object");
+                let meta = ObjectMeta {
+                    hash: hash.clone(),
+                    kind: "point",
+                    name: obj.name,
+                    key: obj.key,
+                    code_version: obj.code_version,
+                    inputs: obj.inputs,
+                };
+                to.store(&meta, &obj.row).unwrap();
+            }
+        }
+
+        let cfg = SweepConfig { resume: true, ..cfg_in(&dir) };
+        let run = SweepRunner::run(&sweep, &cfg).expect("resume run");
+        let kept = done.count_ones() as u64;
+        prop_assert_eq!(run.progress.skipped, kept);
+        prop_assert_eq!(run.progress.completed, 8 - kept);
+        prop_assert_eq!(&merged_bytes(&dir), &canon.artifact);
+    }
+
+    /// A run without `--resume` killed at an arbitrary point leaves
+    /// gaps, not the earlier run's rows: the merge names exactly the
+    /// points it did not finish.
+    #[test]
+    fn killed_fresh_run_fails_merge_with_missing_keys(kill_at in 0usize..8) {
+        let dir = fresh_dir("killed");
+        let sweep = FaultSweep::reduced();
+        sweep::run_and_merge(&sweep, &cfg_in(&dir)).expect("first, complete run");
+        let keys: Vec<String> = sweep.points().iter().map(|p| sweep.key(p)).collect();
+        let killed = KilledSweep { inner: FaultSweep::reduced(), kill_at: keys[kill_at].clone() };
+        let died = catch_unwind(AssertUnwindSafe(|| SweepRunner::run(&killed, &cfg_in(&dir))));
+        prop_assert!(died.is_err(), "the run must die at {}", keys[kill_at]);
+        match sweep::merge(&sweep, &cfg_in(&dir)) {
+            Err(SweepError::MissingKeys { sample, count }) => {
+                prop_assert_eq!(count, 8 - kill_at);
+                let want: Vec<String> = keys[kill_at..].iter().take(4).cloned().collect();
+                prop_assert_eq!(sample, want);
+            }
+            other => prop_assert!(false, "expected MissingKeys, got {:?}", other.map(|m| m.points)),
+        }
+    }
 }

@@ -1,12 +1,12 @@
 //! Host-side sweep progress counters.
 //!
 //! The experiment sweep engine (`rsp-bench::sweep`) fans grid points out
-//! across threads, shards and worker processes; this module is the
-//! shared, thread-safe tally it reports through. Unlike
+//! across threads and shards; this module is the shared, thread-safe
+//! tally it reports through. Unlike
 //! [`MetricsRegistry`](crate::MetricsRegistry) — which counts *simulated*
 //! events inside one machine — a [`SweepProgress`] counts *host* work:
-//! grid points completed, points skipped by journal replay on resume,
-//! and points that failed. Counters are plain relaxed atomics: progress
+//! grid points completed, points served from the sweep's store instead
+//! of computed (resume or cache hits), and points that failed. Counters are plain relaxed atomics: progress
 //! is advisory (rendered to stderr and exported in run summaries), never
 //! load-bearing for correctness.
 
@@ -42,7 +42,7 @@ impl SweepProgress {
         self.snapshot()
     }
 
-    /// Record `n` points satisfied by journal replay instead of work.
+    /// Record `n` points served from the store instead of computed.
     pub fn points_skipped(&self, n: u64) {
         self.skipped.fetch_add(n, Ordering::Relaxed);
     }
@@ -70,7 +70,7 @@ pub struct ProgressSnapshot {
     pub total: u64,
     /// Points computed by this run.
     pub completed: u64,
-    /// Points satisfied by journal replay (resume).
+    /// Points served from the store (resume or cache hits).
     pub skipped: u64,
     /// Points whose execution failed.
     pub failed: u64,

@@ -5,8 +5,9 @@
 //! zero-alloc discipline: [`SloRegistry`] records into fixed per-tenant
 //! slabs (the one allocating hook is admission, which is already an
 //! allocating path) and [`FlightRecorder`] overwrites a preallocated
-//! ring once it has wrapped. This test installs a counting wrapper
-//! around the system allocator, warms both structures past their
+//! ring once it has wrapped. This test installs a per-thread counting
+//! wrapper around the system allocator (`tests/common/counting_alloc.rs`
+//! at the workspace root), warms both structures past their
 //! high-water marks, and asserts that a long steady-state stretch of
 //! recording performs **zero** heap allocations.
 //!
@@ -15,54 +16,14 @@
 //! property is about the optimised hot path. The measurement still runs
 //! everywhere so the same code is exercised.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use rsp_obs::{FleetEntry, FleetEvent, FlightRecorder, ShedKind};
 
-/// Counts every allocation and reallocation routed through the global
-/// allocator. Deallocations are not counted: freeing is legal in the
-/// hot loop only if nothing was allocated first.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// The allocation counter is process-global, so tests that measure a
-/// window must not run while another test allocates. Each test holds
-/// this for its whole body.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+#[path = "../../../tests/common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 #[test]
 fn slo_and_flight_hot_paths_are_allocation_free_in_steady_state() {
-    let _serial = SERIAL.lock().unwrap();
     let tenants = 32u64;
 
     // Construction and admission are the allocating phase: the registry
@@ -157,7 +118,6 @@ fn slo_and_flight_hot_paths_are_allocation_free_in_steady_state() {
 /// allocated first.
 #[test]
 fn engine_shed_storm_is_allocation_free() {
-    let _serial = SERIAL.lock().unwrap();
     use rsp_serve::{EngineConfig, ServeEngine, ShedReason, TenantRequest, WatermarkScheduler};
     use rsp_workloads::{StreamSpec, SynthSpec, UnitMix};
 
@@ -218,7 +178,6 @@ fn engine_shed_storm_is_allocation_free() {
 
 #[test]
 fn disabled_paths_stay_allocation_free_and_record_nothing() {
-    let _serial = SERIAL.lock().unwrap();
     let mut slo = rsp_serve::SloRegistry::new(false);
     let mut flight = FlightRecorder::off();
 

@@ -2,7 +2,8 @@
 //!
 //! `Machine::step` is written to reuse scratch buffers owned by the
 //! machine instead of allocating per cycle. This test installs a
-//! counting wrapper around the system allocator, warms a machine past
+//! per-thread counting wrapper around the system allocator
+//! (`tests/common/counting_alloc.rs`), warms a machine past
 //! its high-water marks (scratch buffers, ROB / queue / fetch-group
 //! capacity, in-flight reconfiguration list), and then asserts that a
 //! long steady-state stretch of `step()` calls performs **zero** heap
@@ -15,47 +16,12 @@
 //! `step` — both of which allocate by design. The counter still runs
 //! in those builds so the same code path is exercised everywhere.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use rsp::sim::{Processor, SimConfig};
 use rsp::workloads::{SynthSpec, UnitMix};
 
-/// Counts every allocation and reallocation routed through the global
-/// allocator. Deallocations are not counted: freeing is legal in the
-/// hot loop only if nothing was allocated, so `alloc + realloc == 0`
-/// is the whole property.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 /// A long mixed program: phased unit mixes force reconfiguration
 /// traffic and unpredictable branches force flush/squash churn, so the

@@ -13,7 +13,7 @@
 use rsp_isa::units::UnitType;
 use rsp_isa::Program;
 use rsp_sim::lanes::{LaneRunner, LaneStimulus};
-use rsp_sim::{BatchRunner, FaultParams, SimConfig, SimReport};
+use rsp_sim::{BatchRunner, FaultParams, SimConfig, SimReport, STAGE_NAMES};
 use rsp_workloads::{kernels, LaneTraceSpec, PhasedSpec, SynthSpec, UnitMix};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
@@ -170,6 +170,7 @@ pub fn measure_lanes(cfg: &SimConfig, lanes: usize, min_wall: Duration) -> Class
         wall_seconds: wall,
         cycles_per_sec: sum.lane_cycles as f64 / wall,
         instrs_per_sec: 0.0,
+        stage_ns_per_cycle: Vec::new(),
     }
 }
 
@@ -206,6 +207,21 @@ pub struct ClassResult {
     pub cycles_per_sec: f64,
     /// Retired instructions per wall-second.
     pub instrs_per_sec: f64,
+    /// Host ns per simulated cycle of each `Machine::step` stage, then
+    /// a `clock` entry: the cost of the one clock read each stage's
+    /// figure includes. Empty unless `rsp-sim` was built with its
+    /// `stage-timing` feature.
+    #[serde(default)]
+    pub stage_ns_per_cycle: Vec<StageCost>,
+}
+
+/// One `Machine::step` stage's share of a class's cycle cost.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct StageCost {
+    /// Stage name ([`rsp_sim::STAGE_NAMES`]).
+    pub stage: String,
+    /// Mean host nanoseconds the stage took per simulated cycle.
+    pub ns_per_cycle: f64,
 }
 
 /// The whole report, serialised to `BENCH_throughput.json`.
@@ -254,6 +270,19 @@ pub fn measure_class(cfg: &SimConfig, class: &WorkloadClass, min_wall: Duration)
         }
     }
     let wall = started.elapsed().as_secs_f64();
+    let stage_ns_per_cycle = runner
+        .stage_times()
+        .map(|t| {
+            let stages = STAGE_NAMES.iter().zip(t.ns_per_cycle(sim_cycles));
+            stages
+                .chain([(&CLOCK_READ, clock_read_ns())])
+                .map(|(stage, ns_per_cycle)| StageCost {
+                    stage: stage.to_string(),
+                    ns_per_cycle,
+                })
+                .collect()
+        })
+        .unwrap_or_default();
     ClassResult {
         name: class.name.to_string(),
         programs: class.programs.len(),
@@ -263,7 +292,22 @@ pub fn measure_class(cfg: &SimConfig, class: &WorkloadClass, min_wall: Duration)
         wall_seconds: wall,
         cycles_per_sec: sim_cycles as f64 / wall,
         instrs_per_sec: retired as f64 / wall,
+        stage_ns_per_cycle,
     }
+}
+
+/// The pseudo-stage closing [`ClassResult::stage_ns_per_cycle`]: the cost
+/// of the one clock read every timed stage includes.
+const CLOCK_READ: &str = "clock";
+
+/// Host nanoseconds per `Instant::now()` call (mean of a short run).
+fn clock_read_ns() -> f64 {
+    const READS: u32 = 100_000;
+    let started = Instant::now();
+    for _ in 0..READS {
+        std::hint::black_box(Instant::now());
+    }
+    started.elapsed().as_nanos() as f64 / f64::from(READS)
 }
 
 /// Measure every class under `cfg`. `min_wall` is per class.
@@ -401,6 +445,21 @@ impl Sweep for ThroughputSweep {
                 "{:<16} {:>9} {:>7} {:>14} {:>12.3} {:>15.0}",
                 c.name, c.programs, c.passes, c.sim_cycles, c.wall_seconds, c.cycles_per_sec
             );
+        }
+        // Per-stage cost, present only in `stage-timing` builds.
+        if rows.iter().any(|c| !c.stage_ns_per_cycle.is_empty()) {
+            let _ = write!(s, "{:<16}", "ns/cycle");
+            for name in STAGE_NAMES.iter().chain([&CLOCK_READ]) {
+                let _ = write!(s, " {name:>9}");
+            }
+            let _ = writeln!(s);
+            for c in rows.iter().filter(|c| !c.stage_ns_per_cycle.is_empty()) {
+                let _ = write!(s, "{:<16}", c.name);
+                for st in &c.stage_ns_per_cycle {
+                    let _ = write!(s, " {:>9.1}", st.ns_per_cycle);
+                }
+                let _ = writeln!(s);
+            }
         }
         // Lane-kernel headline: aggregate lane-cycles/sec over the
         // scalar per-machine rate on the same synthetic-mix demand.

@@ -19,7 +19,7 @@ use crate::loader::ConfigurationLoader;
 use crate::select::{ConfigChoice, SelectionUnit};
 use rsp_fabric::config::{Configuration, SteeringSet};
 use rsp_fabric::fabric::{Fabric, LoadError};
-use rsp_isa::units::{TypeCounts, UnitType};
+use rsp_isa::units::{SlotEncoding, TypeCounts, UnitType};
 use rsp_obs::{Event, Telemetry, MAX_CANDIDATES};
 
 /// What a policy did this cycle.
@@ -66,12 +66,75 @@ pub trait SteeringPolicy {
 /// configurations twice for nothing (reconfiguration thrash).
 pub const DEFAULT_CAPACITY_HYSTERESIS: u32 = 32;
 
+/// Largest allocation vector the selection memo keys on; wider fabrics
+/// evaluate the selection unit every cycle.
+const MEMO_SLOTS: usize = 64;
+
+/// The last selection-unit evaluation, keyed by every input it read.
+///
+/// The selection unit is combinational: its choice and CEM scores are a
+/// pure function of the unit itself, the saturated demand, the current
+/// counts, the capacity view (which picks the candidate counts) and the
+/// allocation vector (the least-reconfiguration tie-break). The steering
+/// set is the loader's and never changes under it. When all of these
+/// equal the previous cycle's, the previous outputs are exact.
+#[derive(Debug, Clone)]
+struct SelectionMemo {
+    /// False until the first evaluation is stored.
+    valid: bool,
+    unit: SelectionUnit,
+    required: TypeCounts,
+    current_counts: TypeCounts,
+    effective_view: bool,
+    /// The allocation vector's encodings, compared by value.
+    alloc: [SlotEncoding; MEMO_SLOTS],
+    alloc_len: usize,
+    choice: ConfigChoice,
+    scores: [u32; MAX_CANDIDATES],
+    scored: usize,
+}
+
+impl SelectionMemo {
+    const EMPTY: SelectionMemo = SelectionMemo {
+        valid: false,
+        unit: SelectionUnit::PAPER,
+        required: TypeCounts::ZERO,
+        current_counts: TypeCounts::ZERO,
+        effective_view: false,
+        alloc: [SlotEncoding::EMPTY; MEMO_SLOTS],
+        alloc_len: 0,
+        choice: ConfigChoice::Current,
+        scores: [0; MAX_CANDIDATES],
+        scored: 0,
+    };
+
+    /// True iff the stored evaluation read exactly these inputs.
+    #[inline]
+    fn hit(
+        &self,
+        unit: &SelectionUnit,
+        required: TypeCounts,
+        current_counts: TypeCounts,
+        effective_view: bool,
+        alloc: &[SlotEncoding],
+    ) -> bool {
+        self.valid
+            && self.required == required
+            && self.current_counts == current_counts
+            && self.effective_view == effective_view
+            && self.unit == *unit
+            && self.alloc[..self.alloc_len] == *alloc
+    }
+}
+
 /// The paper's steering mechanism: selection unit + configuration loader.
 #[derive(Debug, Clone)]
 pub struct PaperSteering {
     /// The four-stage configuration selection unit.
     pub unit: SelectionUnit,
-    /// The configuration loader (owns the steering set).
+    /// The configuration loader (owns the steering set). Replace it only
+    /// before the first tick: the selection memo assumes the steering
+    /// set never changes once steering has started.
     pub loader: ConfigurationLoader,
     /// Degraded cycles required before switching to the effective
     /// capacity view (and re-ranking candidates against post-fault
@@ -94,6 +157,8 @@ pub struct PaperSteering {
     /// Largest per-candidate capacity deficit (in units) due to dead
     /// slots, for the `CapacityRerank` telemetry.
     max_dead_deficit: u32,
+    /// The previous cycle's selection-unit inputs and outputs.
+    memo: SelectionMemo,
 }
 
 impl PaperSteering {
@@ -115,6 +180,7 @@ impl PaperSteering {
             counts_cached: false,
             dead_degraded: false,
             max_dead_deficit: 0,
+            memo: SelectionMemo::EMPTY,
         }
     }
 
@@ -241,21 +307,43 @@ impl SteeringPolicy for PaperSteering {
                 current_counts = effective;
             }
         }
-        let candidate_counts: &[TypeCounts] = if self.effective_view {
-            let k = self.loader.set().predefined.len().min(MAX_CANDIDATES);
-            &self.candidate_counts[..k]
-        } else {
-            &[]
-        };
-        let mut scores = [0u32; MAX_CANDIDATES];
-        let (choice, _err, scored) = self.unit.choose_with_scores_overriding(
-            demand.saturating_3bit(),
+        let required = demand.saturating_3bit();
+        let alloc = fabric.alloc().encodings();
+        let memo = &mut self.memo;
+        if !memo.hit(
+            &self.unit,
+            required,
             current_counts,
-            candidate_counts,
-            fabric.alloc(),
-            self.loader.set(),
-            &mut scores,
-        );
+            self.effective_view,
+            alloc,
+        ) {
+            let candidate_counts: &[TypeCounts] = if self.effective_view {
+                let k = self.loader.set().predefined.len().min(MAX_CANDIDATES);
+                &self.candidate_counts[..k]
+            } else {
+                &[]
+            };
+            let (choice, _err, scored) = self.unit.choose_with_scores_overriding(
+                required,
+                current_counts,
+                candidate_counts,
+                fabric.alloc(),
+                self.loader.set(),
+                &mut memo.scores,
+            );
+            memo.choice = choice;
+            memo.scored = scored;
+            memo.valid = alloc.len() <= MEMO_SLOTS;
+            if memo.valid {
+                memo.unit = self.unit;
+                memo.required = required;
+                memo.current_counts = current_counts;
+                memo.effective_view = self.effective_view;
+                memo.alloc[..alloc.len()].copy_from_slice(alloc);
+                memo.alloc_len = alloc.len();
+            }
+        }
+        let (choice, scores, scored) = (memo.choice, memo.scores, memo.scored);
         if obs.enabled() {
             let last = self.loader.last_choice();
             obs.emit(Event::SteeringDecision {

@@ -30,6 +30,8 @@ pub struct Grant {
 /// Allocation-free: requests fit a fixed on-stack table (the array
 /// capacity is ≤ 64 slots) and the per-type grouping is a single sort
 /// by `(type, tag)`. The hot loop reuses one grant buffer per machine.
+/// Up to eight requests (the paper's 7-entry queue always) sort in a
+/// small table, so the common cycle never fills the large one.
 ///
 /// Note the arbiter does **not** mutate the array — the caller issues
 /// [`WakeupArray::grant`] per returned grant once it has bound a concrete
@@ -41,11 +43,31 @@ pub fn arbitrate_into(
     grants: &mut Vec<Grant>,
 ) {
     grants.clear();
+    match requests.len() {
+        0 => {}
+        n if n <= SMALL_REQUESTS => {
+            grant_oldest_first::<SMALL_REQUESTS>(array, requests, idle_units, grants)
+        }
+        _ => grant_oldest_first::<64>(array, requests, idle_units, grants),
+    }
+}
+
+/// Request count up to which [`arbitrate_into`] sorts in a small table.
+const SMALL_REQUESTS: usize = 8;
+
+/// Sort `requests` (at most `N`) by `(type, tag)` in an `N`-entry table
+/// and grant within each type's idle quota.
+fn grant_oldest_first<const N: usize>(
+    array: &WakeupArray,
+    requests: &[SlotIdx],
+    idle_units: &TypeCounts,
+    grants: &mut Vec<Grant>,
+) {
     // (type index, tag, slot) sorts into exactly the emission order:
     // types ascending, oldest tag first within a type.
-    let mut keyed = [(0usize, 0u64, 0usize); 64];
+    let mut keyed = [(0usize, 0u64, 0usize); N];
     let n = requests.len();
-    debug_assert!(n <= 64, "more requests than the 64-slot maximum");
+    debug_assert!(n <= N, "more requests than the {N}-entry table");
     for (k, &s) in keyed.iter_mut().zip(requests) {
         let e = array.get(s).expect("requesting slot must be occupied");
         *k = (e.unit.index(), e.tag, s);
@@ -128,5 +150,27 @@ mod tests {
     fn no_requests_no_grants() {
         let w = WakeupArray::paper();
         assert!(arbitrate(&w, &[], &TypeCounts::new([7, 7, 7, 7, 7])).is_empty());
+    }
+
+    proptest::proptest! {
+        /// The small table grants exactly what the 64-entry table grants,
+        /// in the same order.
+        #[test]
+        fn small_table_matches_full_table(
+            entries in proptest::collection::vec((0usize..5, 0u64..1000), 0..=SMALL_REQUESTS),
+            idle in proptest::array::uniform5(0u8..4),
+        ) {
+            let mut w = WakeupArray::new(SMALL_REQUESTS);
+            for &(t, tag) in &entries {
+                w.insert(UnitType::from_index(t).unwrap(), &[], tag).unwrap();
+            }
+            let reqs = w.requests(&[true; 5]);
+            let idle = TypeCounts::new(idle);
+            let (mut small, mut full) = (Vec::new(), Vec::new());
+            grant_oldest_first::<SMALL_REQUESTS>(&w, &reqs, &idle, &mut small);
+            grant_oldest_first::<64>(&w, &reqs, &idle, &mut full);
+            proptest::prop_assert_eq!(&small, &full);
+            proptest::prop_assert_eq!(arbitrate(&w, &reqs, &idle), full);
+        }
     }
 }

@@ -34,8 +34,11 @@ use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+#[cfg(test)]
+use std::sync::atomic::AtomicUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Server construction parameters.
@@ -128,6 +131,9 @@ pub struct Server {
     listener: ListenerKind,
     addr: String,
     cfg: ServerConfig,
+    /// Connection handles the accept loop held after its latest accept.
+    #[cfg(test)]
+    held_conns: Arc<AtomicUsize>,
 }
 
 struct Command {
@@ -152,6 +158,8 @@ impl Server {
                     listener: ListenerKind::Unix(listener, path),
                     addr: addr.to_string(),
                     cfg,
+                    #[cfg(test)]
+                    held_conns: Arc::default(),
                 });
             }
             #[cfg(not(unix))]
@@ -166,6 +174,8 @@ impl Server {
             listener: ListenerKind::Tcp(listener),
             addr,
             cfg,
+            #[cfg(test)]
+            held_conns: Arc::default(),
         })
     }
 
@@ -177,11 +187,9 @@ impl Server {
     /// Serve until a `Shutdown` request arrives; returns the final
     /// engine counters.
     pub fn run(self) -> io::Result<EngineStats> {
-        let Server {
-            listener,
-            addr: _,
-            cfg,
-        } = self;
+        #[cfg(test)]
+        let held_conns = self.held_conns.clone();
+        let Server { listener, cfg, .. } = self;
         let shutdown = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::channel::<Command>();
 
@@ -235,11 +243,14 @@ impl Server {
             };
             match accepted {
                 Ok(stream) => {
+                    reap_finished(&mut conn_threads);
                     let tx = tx.clone();
                     let shutdown = shutdown.clone();
                     conn_threads.push(std::thread::spawn(move || {
                         conn_loop(stream, tx, shutdown);
                     }));
+                    #[cfg(test)]
+                    held_conns.store(conn_threads.len(), Ordering::SeqCst);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
@@ -263,6 +274,20 @@ impl Server {
         engine_thread
             .join()
             .map_err(|_| io::Error::other("engine thread panicked"))
+    }
+}
+
+/// Join the connection threads that have already returned, so the
+/// accept loop holds handles only for live connections instead of one
+/// per connection ever accepted.
+fn reap_finished(threads: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < threads.len() {
+        if threads[i].is_finished() {
+            let _ = threads.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
     }
 }
 
@@ -588,5 +613,45 @@ fn run_engine<S: Scheduler>(
         } else {
             guard.engine.tick();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ServeClient, TenantRequest};
+    use rsp_workloads::{StreamSpec, SynthSpec, UnitMix};
+
+    /// A long-running server must not keep one handle per connection it
+    /// ever accepted: finished connection threads are joined on the
+    /// next accept.
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let addr = if cfg!(unix) {
+            let path = std::env::temp_dir().join(format!("rsp-reap-{}.sock", std::process::id()));
+            path.to_string_lossy().into_owned()
+        } else {
+            "127.0.0.1:0".to_string()
+        };
+        let server = Server::bind(&addr, ServerConfig::default()).unwrap();
+        let addr = server.local_addr().to_string();
+        let held = server.held_conns.clone();
+        let handle = std::thread::spawn(move || server.run());
+        for i in 0..200u64 {
+            let mut client = ServeClient::connect(&addr).unwrap();
+            let spec = SynthSpec {
+                body_len: 20,
+                ..SynthSpec::new("reap", UnitMix::BALANCED, i)
+            };
+            let req = TenantRequest::new(StreamSpec::synth(format!("reap-{i}"), spec, 200));
+            client.submit(req).unwrap().ok();
+        }
+        let live = held.load(Ordering::SeqCst);
+        assert!(
+            live <= 8,
+            "{live} connection handles held after 200 closed connections"
+        );
+        ServeClient::connect(&addr).unwrap().shutdown().unwrap();
+        handle.join().unwrap().unwrap();
     }
 }

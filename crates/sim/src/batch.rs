@@ -28,7 +28,7 @@
 
 use crate::config::SimConfig;
 use crate::processor::{Machine, RunError};
-use crate::stats::SimReport;
+use crate::stats::{SimReport, StageTimes};
 use rsp_isa::Program;
 use serde::{Deserialize, Serialize};
 
@@ -61,6 +61,13 @@ impl BatchRunner {
             None => self.machine = Some(Machine::new(self.cfg.clone(), program)),
         }
         Ok(self.machine.as_mut().expect("machine just ensured"))
+    }
+
+    /// Host time per step stage over every run so far; `None` unless
+    /// `rsp-sim` was built with the `stage-timing` feature (or before
+    /// the first run).
+    pub fn stage_times(&self) -> Option<&StageTimes> {
+        self.machine.as_ref().and_then(Machine::stage_times)
     }
 
     /// Run one program to completion (or `max_cycles`), reusing the
@@ -133,6 +140,7 @@ mod tests {
     use crate::processor::Processor;
     use rsp_workloads::kernels;
     use rsp_workloads::synth::{SynthSpec, UnitMix};
+    use std::time::Duration;
 
     /// A batched run must be bit-identical to a fresh-machine run,
     /// including after the machine was dirtied by a different program.
@@ -156,6 +164,23 @@ mod tests {
         // Run the first program again after the machine saw the others.
         let again = runner.run(&a, 1_000_000).unwrap();
         assert_eq!(&again, &fresh[0]);
+    }
+
+    /// Stage timing is present exactly in `stage-timing` builds, and then
+    /// accumulates across a runner's programs with every stage charged.
+    #[test]
+    fn stage_times_follow_the_feature() {
+        let mut runner = BatchRunner::new(SimConfig::default()).unwrap();
+        runner.run(&kernels::dot_product(8), 100_000).unwrap();
+        let first = runner.stage_times().copied();
+        assert_eq!(first.is_some(), cfg!(feature = "stage-timing"));
+        runner.run(&kernels::checksum(8), 100_000).unwrap();
+        if let (Some(first), Some(both)) = (first, runner.stage_times()) {
+            for (stage, (a, b)) in first.total.iter().zip(&both.total).enumerate() {
+                assert!(a > &Duration::ZERO, "stage {stage} never timed");
+                assert!(b > a, "stage {stage} did not accumulate");
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::exec::{execute, operand_value};
 use crate::frontend::{FetchUnit, FetchedInstr};
 use crate::lanes::SteerRecord;
 use crate::rob::{Rob, RobEntry, Seq, Stage};
-use crate::stats::SimReport;
+use crate::stats::{SimReport, StageTimes};
 use rsp_core::cem::CemUnit;
 use rsp_core::loader::LoaderStats;
 use rsp_core::policy::{DemandDriven, PaperSteering, PolicyOutcome, StaticPolicy, SteeringPolicy};
@@ -234,6 +234,10 @@ pub struct Machine {
     /// slot may request again (0 = no cooldown; real cooldowns are
     /// always ≥ 1 because the penalty is clamped to at least one cycle).
     collision_cooldown: Vec<u64>,
+    /// No executing entry completes before this cycle, so
+    /// `stage_complete` skips its ROB scan until then. It may run early
+    /// (a flush leaves it stale), never late.
+    next_done: u64,
     scratch: Scratch,
     /// Telemetry bus: disabled by default ([`Telemetry::off`]), in which
     /// case every hook below degenerates to a branch on a bool.
@@ -253,6 +257,10 @@ pub struct Machine {
     /// per-cycle (demand, busy-mask, choice) triple the bit-sliced lane
     /// kernel replays in its differential tests. Off by default.
     steer_log: Option<Vec<SteerRecord>>,
+    /// Host time per step stage since the machine was built (kept across
+    /// [`Machine::reset`], so a batch runner's machine accumulates).
+    #[cfg(feature = "stage-timing")]
+    stage_times: StageTimes,
     // statistics
     retired: u64,
     collisions: u64,
@@ -282,6 +290,7 @@ impl Machine {
             policy,
             draining: Vec::new(),
             collision_cooldown: vec![0; cfg.queue_size],
+            next_done: 0,
             scratch: Scratch::default(),
             telemetry: Telemetry::off(),
             issue_stall: None,
@@ -289,6 +298,8 @@ impl Machine {
             last_choice: None,
             pending_decision: None,
             steer_log: None,
+            #[cfg(feature = "stage-timing")]
+            stage_times: StageTimes::default(),
             cfg,
             cycle: 0,
             halted: false,
@@ -323,6 +334,7 @@ impl Machine {
         self.policy = PolicyInstance::build(&self.cfg);
         self.draining.clear();
         self.collision_cooldown.fill(0);
+        self.next_done = 0;
         self.telemetry.reset();
         self.issue_stall = None;
         self.dispatch_stall = None;
@@ -415,6 +427,16 @@ impl Machine {
             Some(log) => std::mem::take(log),
             None => Vec::new(),
         }
+    }
+
+    /// Host time spent in each step stage since this machine was built,
+    /// across resets; `None` unless `rsp-sim` was built with the
+    /// `stage-timing` feature.
+    pub fn stage_times(&self) -> Option<&StageTimes> {
+        #[cfg(feature = "stage-timing")]
+        return Some(&self.stage_times);
+        #[cfg(not(feature = "stage-timing"))]
+        None
     }
 
     /// Mutable telemetry access (e.g. to drain the event ring mid-run).
@@ -603,15 +625,33 @@ impl Machine {
         #[cfg(feature = "validate")]
         self.check_invariants();
         self.telemetry.set_cycle(self.cycle);
-        self.stage_retire();
-        if !self.halted {
-            self.stage_complete();
-            self.stage_issue();
-            self.stage_steer();
-            self.stage_dispatch();
-            self.stage_fetch();
+        // `stage!(i, call)` runs one stage and, under the `stage-timing`
+        // feature, charges the time since the previous lap to
+        // `STAGE_NAMES[i]`: one clock read per stage boundary, so every
+        // stage's time includes exactly one clock read.
+        #[cfg(feature = "stage-timing")]
+        let mut lap = std::time::Instant::now();
+        macro_rules! stage {
+            ($i:expr, $call:expr) => {{
+                $call;
+                #[cfg(feature = "stage-timing")]
+                #[allow(unused_assignments)] // the last stage's lap
+                {
+                    let now = std::time::Instant::now();
+                    self.stage_times.total[$i] += now - lap;
+                    lap = now;
+                }
+            }};
         }
-        self.stage_tick();
+        stage!(0, self.stage_retire());
+        if !self.halted {
+            stage!(1, self.stage_complete());
+            stage!(2, self.stage_issue());
+            stage!(3, self.stage_steer());
+            stage!(4, self.stage_dispatch());
+            stage!(5, self.stage_fetch());
+        }
+        stage!(6, self.stage_tick());
         self.cycle += 1;
         // Natural end: everything drained without an explicit halt.
         if !self.halted
@@ -654,16 +694,34 @@ impl Machine {
     }
 
     fn stage_complete(&mut self) {
+        if self.cycle < self.next_done {
+            debug_assert!(
+                !self.rob.iter().any(|e| matches!(
+                    e.stage,
+                    Stage::Executing { done_at, .. } if done_at <= self.cycle
+                )),
+                "an execution fell due before next_done"
+            );
+            return;
+        }
         // Collect due completions oldest-first; re-check existence because
         // an older mispredict flushes younger due entries. The list lives
         // in a scratch buffer (taken out of `self` because `flush_after`
-        // below needs the whole machine).
+        // below needs the whole machine). The same scan finds the next
+        // cycle anything completes.
         let mut due = std::mem::take(&mut self.scratch.due);
         due.clear();
+        let now = self.cycle;
+        let mut next_done = u64::MAX;
         due.extend(self.rob.iter().filter_map(|e| match e.stage {
-            Stage::Executing { done_at, .. } if done_at <= self.cycle => Some(e.seq),
+            Stage::Executing { done_at, .. } if done_at <= now => Some(e.seq),
+            Stage::Executing { done_at, .. } => {
+                next_done = next_done.min(done_at);
+                None
+            }
             _ => None,
         }));
+        self.next_done = next_done;
         for &seq in &due {
             let Some(e) = self.rob.get_mut(seq) else {
                 continue; // flushed by an older branch this same cycle
@@ -825,12 +883,11 @@ impl Machine {
             let issued = execute(&instr, pc, s1, s2, &mut self.mem);
             let latency = self.cfg.latencies.of(instr.opcode.latency_class());
             let e = self.rob.get_mut(tag).unwrap();
+            let done_at = self.cycle + latency as u64;
             e.value = issued.value;
             e.resolved_next = issued.resolved_next;
-            e.stage = Stage::Executing {
-                unit,
-                done_at: self.cycle + latency as u64,
-            };
+            e.stage = Stage::Executing { unit, done_at };
+            self.next_done = self.next_done.min(done_at);
             self.wakeup.grant(g.slot, latency);
             if self.telemetry.enabled() {
                 self.telemetry

@@ -6,6 +6,7 @@ use rsp_fabric::fault::FaultStats;
 use rsp_isa::units::TypeCounts;
 use rsp_obs::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
+use std::time::Duration;
 
 /// Cycle-level stall/occupancy accounting. A cycle can contribute to
 /// several counters (e.g. queue full *and* nothing issued).
@@ -26,6 +27,30 @@ pub struct StallStats {
     /// configured at all** (only possible transiently: the FFUs always
     /// provide one of each type in the default architecture).
     pub unit_unconfigured: u64,
+}
+
+/// The seven stages of [`crate::processor::Machine::step`], in call
+/// order: the index of a stage in [`StageTimes::total`].
+pub const STAGE_NAMES: [&str; 7] = [
+    "retire", "complete", "issue", "steer", "dispatch", "fetch", "tick",
+];
+
+/// Host time spent in each `Machine::step` stage, indexed like
+/// [`STAGE_NAMES`]. Only recorded when `rsp-sim` is built with the
+/// `stage-timing` feature (see [`crate::processor::Machine::stage_times`]).
+/// Each stage's time includes the cost of one clock read.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct StageTimes {
+    /// Accumulated wall time per stage.
+    pub total: [Duration; 7],
+}
+
+impl StageTimes {
+    /// Mean nanoseconds per cycle of each stage over `cycles` cycles.
+    pub fn ns_per_cycle(&self, cycles: u64) -> [f64; 7] {
+        let cycles = cycles.max(1) as f64;
+        self.total.map(|d| d.as_nanos() as f64 / cycles)
+    }
 }
 
 /// The report produced by a completed (or budget-exhausted) run.
